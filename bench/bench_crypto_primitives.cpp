@@ -135,6 +135,27 @@ void BM_EcdsaVerifyBatch(benchmark::State& state, const Curve& curve) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
+// --- field arithmetic (the layer every EC path bottoms out in) ----------
+
+void BM_FieldMul(benchmark::State& state, const Curve& curve) {
+  // A dependent chain: each product feeds the next, like a doubling ladder.
+  const MontCtx& fp = curve.field();
+  HmacDrbg drbg(to_bytes(std::string_view("bench-field-mul")));
+  U384 x = fp.to_mont(U384::from_bytes_be(drbg.generate(48)));
+  const U384 y = fp.to_mont(U384::from_bytes_be(drbg.generate(48)));
+  for (auto _ : state) {
+    x = fp.mul(x, y);
+    benchmark::DoNotOptimize(x);
+  }
+}
+
+void BM_FieldInv(benchmark::State& state, const Curve& curve) {
+  const MontCtx& fp = curve.field();
+  HmacDrbg drbg(to_bytes(std::string_view("bench-field-inv")));
+  const U384 x = fp.to_mont(U384::from_bytes_be(drbg.generate(48)));
+  for (auto _ : state) benchmark::DoNotOptimize(fp.inv(x));
+}
+
 // --- scalar-multiplication paths (the fast paths vs the naive ladder) ----
 
 void BM_ScalarMultNaive(benchmark::State& state, const Curve& curve) {
@@ -214,6 +235,10 @@ int main(int argc, char** argv) {
   for (const auto* curve : {&revelio::crypto::p256(),
                             &revelio::crypto::p384()}) {
     const std::string name = curve->params().name == "P-256" ? "P256" : "P384";
+    benchmark::RegisterBenchmark(("BM_FieldMul/" + name).c_str(), BM_FieldMul,
+                                 std::cref(*curve));
+    benchmark::RegisterBenchmark(("BM_FieldInv/" + name).c_str(), BM_FieldInv,
+                                 std::cref(*curve));
     benchmark::RegisterBenchmark(("BM_ScalarMultNaive/" + name).c_str(),
                                  BM_ScalarMultNaive, std::cref(*curve));
     benchmark::RegisterBenchmark(("BM_ScalarMultWnaf/" + name).c_str(),

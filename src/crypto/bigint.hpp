@@ -1,9 +1,13 @@
 // Fixed-width 384-bit unsigned integers and Montgomery modular arithmetic.
 //
-// Sized for NIST P-384 (the curve AMD uses for VCEK signatures); P-256
-// values run in the same width. Montgomery multiplication (CIOS) keeps
-// scalar multiplication fast enough that the test suite's thousands of
-// ECDSA operations stay cheap.
+// U384 is sized for NIST P-384 (the curve AMD uses for VCEK signatures) and
+// is the storage type for every field. The arithmetic, though, runs each
+// modulus at its own width: a MontCtx over an n-limb modulus uses
+// R = 2^(64n) and one CIOS multiply / carry-chain add / sub kernel
+// instantiated for exactly n limbs, so P-256 fields cost 4x4-limb products
+// instead of 6x6. Exponentiation (Fermat inversion, square roots) uses a
+// width-5 sliding window whose operation sequence depends only on the
+// public exponent.
 #pragma once
 
 #include <array>
@@ -64,17 +68,22 @@ std::uint64_t add_with_carry(U384& r, const U384& a, const U384& b);
 /// r = a - b; returns the borrow out.
 std::uint64_t sub_with_borrow(U384& r, const U384& a, const U384& b);
 
-/// Montgomery arithmetic context for an odd modulus m < 2^384.
-/// Values passed to mul/pow/inv must be in the Montgomery domain.
+/// Montgomery arithmetic context for an odd modulus m < 2^384, running at
+/// n = ceil(bits(m) / 64) limbs with R = 2^(64n). Values passed to
+/// mul/add/sub/pow/inv must be in the Montgomery domain (below m); to_mont
+/// and reduce accept any U384.
 class MontCtx {
  public:
   explicit MontCtx(const U384& modulus);
 
   const U384& modulus() const { return m_; }
 
-  /// Maps a (plain, possibly >= m) into the Montgomery domain, reducing
+  /// Limb count the arithmetic runs at.
+  std::size_t limbs() const { return n_; }
+
+  /// Maps a (plain, any 384-bit value) into the Montgomery domain, reducing
   /// mod m on the way.
-  U384 to_mont(const U384& a) const { return mul(a, r2_); }
+  U384 to_mont(const U384& a) const;
 
   /// Maps back to the plain domain.
   U384 from_mont(const U384& a) const { return mul(a, U384::from_u64(1)); }
@@ -82,15 +91,16 @@ class MontCtx {
   /// Reduces a plain value mod m.
   U384 reduce(const U384& a) const { return from_mont(to_mont(a)); }
 
-  /// Montgomery multiplication: a*b*R^-1 mod m.
-  U384 mul(const U384& a, const U384& b) const;
+  /// Montgomery multiplication: a*b*R^-1 mod m (a < R, b < m).
+  U384 mul(const U384& a, const U384& b) const { return mul_(*this, a, b); }
 
   /// Modular addition (either domain, operands < m).
-  U384 add(const U384& a, const U384& b) const;
+  U384 add(const U384& a, const U384& b) const { return add_(*this, a, b); }
   /// Modular subtraction (either domain, operands < m).
-  U384 sub(const U384& a, const U384& b) const;
+  U384 sub(const U384& a, const U384& b) const { return sub_(*this, a, b); }
 
   /// a^e mod m; a in Montgomery domain, e plain; result Montgomery domain.
+  /// Width-5 left-to-right sliding window.
   U384 pow(const U384& a, const U384& e) const;
 
   /// Modular inverse via Fermat (modulus must be prime); Montgomery domain.
@@ -100,10 +110,23 @@ class MontCtx {
   U384 one() const { return one_; }
 
  private:
+  using Op = U384 (*)(const MontCtx&, const U384&, const U384&);
+  template <std::size_t N>
+  static U384 mul_n(const MontCtx& c, const U384& a, const U384& b);
+  template <std::size_t N>
+  static U384 add_n(const MontCtx& c, const U384& a, const U384& b);
+  template <std::size_t N>
+  static U384 sub_n(const MontCtx& c, const U384& a, const U384& b);
+
   U384 m_;
   U384 r2_;   // R^2 mod m
   U384 one_;  // R mod m
   std::uint64_t n0_;  // -m^-1 mod 2^64
+  std::size_t n_;     // limbs of m
+  // The n-limb kernels, picked once at construction.
+  Op mul_;
+  Op add_;
+  Op sub_;
 };
 
 }  // namespace revelio::crypto

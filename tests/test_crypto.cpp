@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <vector>
+
 #include "common/hex.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/bigint.hpp"
@@ -439,6 +443,175 @@ TEST(MontCtx, AddSubModular) {
   EXPECT_EQ(ctx.sub(b, a).limbs[0], 11u);  // -2 mod 13
 }
 
+// ------------------------------------------- MontCtx at every limb width
+//
+// The reference below is a schoolbook product and a bit-at-a-time
+// shift-subtract reduction; of the code under test it uses only the U384
+// carry helpers checked in U384.AddSubCarryChain.
+
+using Wide = std::array<std::uint64_t, 2 * U384::kLimbs>;
+
+Wide widen(const U384& a) {
+  Wide w{};
+  std::copy(a.limbs.begin(), a.limbs.end(), w.begin());
+  return w;
+}
+
+Wide wide_sum(const U384& a, const U384& b) {
+  U384 low;
+  const std::uint64_t carry = add_with_carry(low, a, b);
+  Wide w = widen(low);
+  w[U384::kLimbs] = carry;
+  return w;
+}
+
+U384 ref_reduce(const Wide& x, const U384& m) {
+  U384 r;
+  for (std::size_t i = 64 * x.size(); i-- > 0;) {
+    U384 doubled;  // 2r + bit < 2m
+    const std::uint64_t carry = add_with_carry(doubled, r, r);
+    doubled.limbs[0] |= (x[i / 64] >> (i % 64)) & 1;
+    if (carry || doubled.cmp(m) >= 0) {
+      sub_with_borrow(r, doubled, m);
+    } else {
+      r = doubled;
+    }
+  }
+  return r;
+}
+
+U384 ref_mul(const U384& a, const U384& b, const U384& m) {
+  Wide w{};
+  for (std::size_t i = 0; i < U384::kLimbs; ++i) {
+    unsigned __int128 carry = 0;
+    for (std::size_t j = 0; j < U384::kLimbs; ++j) {
+      carry += static_cast<unsigned __int128>(a.limbs[i]) * b.limbs[j] +
+               w[i + j];
+      w[i + j] = static_cast<std::uint64_t>(carry);
+      carry >>= 64;
+    }
+    w[i + U384::kLimbs] = static_cast<std::uint64_t>(carry);
+  }
+  return ref_reduce(w, m);
+}
+
+U384 ref_pow(const U384& a, const U384& e, const U384& m) {
+  U384 r = ref_reduce(widen(U384::from_u64(1)), m);
+  for (std::size_t i = e.bit_length(); i-- > 0;) {
+    r = ref_mul(r, r, m);
+    if (e.bit(i)) r = ref_mul(r, a, m);
+  }
+  return r;
+}
+
+struct WidthCase {
+  const char* name;
+  U384 m;  // prime, so Fermat inversion applies
+  std::size_t limbs;
+};
+
+std::vector<WidthCase> width_cases() {
+  return {
+      {"P256.p", p256().params().p, 4},
+      {"P256.n", p256().params().n, 4},
+      {"P384.p", p384().params().p, 6},
+      {"P384.n", p384().params().n, 6},
+      {"2^127-1", U384::from_hex("7fffffffffffffffffffffffffffffff"), 2},
+      {"2^192-2^64-1",
+       U384::from_hex("fffffffffffffffffffffffffffffffeffffffffffffffff"), 3},
+      {"2^320-197",
+       U384::from_hex("ffffffffffffffffffffffffffffffffffffffffffffffffffffffff"
+                      "ffffffffffffffffffffff3b"),
+       5},
+  };
+}
+
+TEST(MontCtxWidths, RunsAtTheModulusLimbCount) {
+  for (const auto& c : width_cases()) {
+    EXPECT_EQ(MontCtx(c.m).limbs(), c.limbs) << c.name;
+  }
+  EXPECT_EQ(MontCtx(U384::from_u64(13)).limbs(), 1u);
+}
+
+TEST(MontCtxWidths, FieldOpsMatchShiftSubtractReference) {
+  HmacDrbg drbg(to_bytes(std::string_view("mont-widths")));
+  for (const auto& c : width_cases()) {
+    SCOPED_TRACE(c.name);
+    const MontCtx ctx(c.m);
+    U384 m_minus_1;
+    sub_with_borrow(m_minus_1, c.m, U384::from_u64(1));
+    std::vector<U384> values = {U384::zero(), U384::from_u64(1), m_minus_1};
+    for (int i = 0; i < 8; ++i) {
+      values.push_back(
+          ref_reduce(widen(U384::from_bytes_be(drbg.generate(48))), c.m));
+    }
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const U384& a = values[i];
+      const U384& b = values[(i * 5 + 2) % values.size()];
+      const U384 am = ctx.to_mont(a);
+      const U384 bm = ctx.to_mont(b);
+      EXPECT_EQ(ctx.from_mont(ctx.mul(am, bm)).limbs,
+                ref_mul(a, b, c.m).limbs);
+      EXPECT_EQ(ctx.from_mont(ctx.add(am, bm)).limbs,
+                ref_reduce(wide_sum(a, b), c.m).limbs);
+      U384 neg_b;  // m - b, so a - b == a + (m - b) mod m
+      sub_with_borrow(neg_b, c.m, b);
+      EXPECT_EQ(ctx.from_mont(ctx.sub(am, bm)).limbs,
+                ref_reduce(wide_sum(a, neg_b), c.m).limbs);
+      if (!a.is_zero()) {
+        EXPECT_EQ(ctx.mul(ctx.inv(am), am).limbs, ctx.one().limbs);
+      }
+    }
+  }
+}
+
+TEST(MontCtxWidths, PowMatchesReferenceAcrossWindowShapes) {
+  HmacDrbg drbg(to_bytes(std::string_view("mont-widths-pow")));
+  for (const auto& c : width_cases()) {
+    SCOPED_TRACE(c.name);
+    const MontCtx ctx(c.m);
+    U384 m_minus_2;
+    sub_with_borrow(m_minus_2, c.m, U384::from_u64(2));
+    // Short exponents straddle the width-5 window edges; m-2 is the Fermat
+    // inverse; full 384-bit draws exercise long runs of both bit values.
+    std::vector<U384> exponents = {m_minus_2};
+    for (const std::uint64_t e : {0u, 1u, 2u, 16u, 31u, 32u, 33u, 0x2f1u}) {
+      exponents.push_back(U384::from_u64(e));
+    }
+    for (int i = 0; i < 2; ++i) {
+      exponents.push_back(U384::from_bytes_be(drbg.generate(48)));
+    }
+    const U384 a =
+        ref_reduce(widen(U384::from_bytes_be(drbg.generate(48))), c.m);
+    for (const U384& e : exponents) {
+      EXPECT_EQ(ctx.from_mont(ctx.pow(ctx.to_mont(a), e)).limbs,
+                ref_pow(a, e, c.m).limbs)
+          << "e bits " << e.bit_length();
+    }
+  }
+}
+
+TEST(MontCtxWidths, ReduceAcceptsFull384BitInputs) {
+  // A P-256 context folds a 384-bit input over 4-limb chunks (Horner);
+  // the result must match a plain reduction, in both domains.
+  HmacDrbg drbg(to_bytes(std::string_view("mont-widths-reduce")));
+  U384 all_ones;
+  all_ones.limbs.fill(~0ULL);
+  for (const auto& c : width_cases()) {
+    SCOPED_TRACE(c.name);
+    const MontCtx ctx(c.m);
+    std::vector<U384> inputs = {all_ones, c.m};
+    for (int i = 0; i < 8; ++i) {
+      inputs.push_back(U384::from_bytes_be(drbg.generate(48)));
+    }
+    for (const U384& x : inputs) {
+      const U384 expect = ref_reduce(widen(x), c.m);
+      EXPECT_EQ(ctx.reduce(x).limbs, expect.limbs);
+      EXPECT_EQ(ctx.to_mont(x).limbs, ctx.to_mont(expect).limbs);
+    }
+  }
+}
+
 // ---------------------------------------------------------------- EC
 
 TEST(EcP256, GeneratorOnCurve) {
@@ -740,6 +913,44 @@ TEST(EcdsaKat, P384Rfc6979PublicKeyDerivation) {
   EXPECT_EQ(to_hex(q.y.to_bytes_be(48)),
             "8015d9b72d7d57244ea8ef9ac0c621896708a59367f9dfb9f54ca84b3f1c9db1"
             "288b231c3ae0d4fe7344fd2533264720");
+}
+
+TEST(EcdsaKat, VariableBasePathsReproduceRfc6979PublicKeys) {
+  // The same d -> Q vectors through the wNAF path and ECDH, with G passed
+  // as an arbitrary point: a check on the variable-base field arithmetic
+  // that does not lean on scalar_mult_naive.
+  struct Vector {
+    const Curve* curve;
+    const char* d;
+    const char* qx;
+    const char* qy;
+  };
+  const Vector vectors[] = {
+      {&p256(),
+       "c9afa9d845ba75166b5c215767b1d6934e50c3db36e89b127b8a622b120f6721",
+       "60fed4ba255a9d31c961eb74c6356d68c049b8923b61fa6ce669622e60f29fb6",
+       "7903fe1008b8bc99a41ae9e95628bc64f2f1b20c2d7e9f5177a3c294d4462299"},
+      {&p384(),
+       "6b9d3dad2e1b8c1c05b19875b6659f4de23c3b667bf297ba9aa47740787137d8"
+       "96d5724e4c70a825f872c9ea60d2edf5",
+       "ec3a4e415b4e19a4568618029f427fa5da9a8bc4ae92e02e06aae5286b300c64"
+       "def8f0ea9055866064a254515480bc13",
+       "8015d9b72d7d57244ea8ef9ac0c621896708a59367f9dfb9f54ca84b3f1c9db1"
+       "288b231c3ae0d4fe7344fd2533264720"},
+  };
+  for (const Vector& v : vectors) {
+    const Curve& curve = *v.curve;
+    SCOPED_TRACE(curve.params().name);
+    const std::size_t len = curve.params().byte_length;
+    const U384 d = U384::from_hex(v.d);
+    const auto q = curve.scalar_mult(d, curve.generator());
+    ASSERT_FALSE(q.infinity);
+    EXPECT_EQ(to_hex(q.x.to_bytes_be(len)), v.qx);
+    EXPECT_EQ(to_hex(q.y.to_bytes_be(len)), v.qy);
+    const auto shared = ecdh_shared_secret(curve, d, curve.generator());
+    ASSERT_TRUE(shared.ok());
+    EXPECT_EQ(to_hex(*shared), v.qx);
+  }
 }
 
 TEST(EcdsaKat, P384Rfc6979Sha384SampleVerifies) {

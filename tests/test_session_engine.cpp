@@ -10,6 +10,7 @@
 // shares only the engine's thread-safe caches with other sessions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -1007,11 +1008,13 @@ struct StagedGatewayRun {
 /// session live across stages (per-index slots), tracks map sessions to
 /// their world so one world is never driven from two lanes at once. Each
 /// stage binds the world clock and reports its clock delta as the park
-/// interval — the engine never sees the world internals.
+/// interval — the engine never sees the world internals. With
+/// `batch_verify`, verify wavefronts go through one batch_verify_sessions
+/// call, as in bench_gateway's staged_batch levels.
 StagedGatewayRun run_gateway_staged(
     SessionEngine& engine, std::vector<std::unique_ptr<GatewayWorld>>& worlds,
     std::size_t sessions, int retry_attempts,
-    const AdmissionConfig& admission = {}) {
+    const AdmissionConfig& admission = {}, bool batch_verify = false) {
   struct Slot {
     std::unique_ptr<WebExtension> ext;
     std::unique_ptr<WebExtension::StagedAttestation> staged;
@@ -1019,6 +1022,37 @@ StagedGatewayRun run_gateway_staged(
   std::vector<Slot> slots(sessions);
   std::atomic<int> unverified{0};
   std::atomic<int> wrong_body{0};
+
+  BatchStageConfig batching;
+  if (batch_verify) {
+    batching.stage = SessionState::kVerify;
+    batching.fn = [&](std::vector<StagedBatchItem>& items) {
+      // The engine subsumes only whole track groups, so this task owns
+      // every world it touches; lock them in address order.
+      std::vector<GatewayWorld*> held;
+      for (const auto& item : items) {
+        held.push_back(worlds[item.ctx.index % worlds.size()].get());
+      }
+      std::sort(held.begin(), held.end());
+      held.erase(std::unique(held.begin(), held.end()), held.end());
+      std::vector<std::unique_lock<std::mutex>> locks;
+      for (GatewayWorld* world : held) locks.emplace_back(world->mu);
+
+      std::vector<WebExtension::StagedAttestation*> staged;
+      for (const auto& item : items) {
+        staged.push_back(slots[item.ctx.index].staged.get());
+      }
+      const auto statuses = batch_verify_sessions(staged);
+      for (std::size_t k = 0; k < items.size(); ++k) {
+        if (statuses[k].ok()) {
+          items[k].next = SessionState::kPageFetch;
+        } else {
+          items[k].ctx.failure = statuses[k];
+          items[k].next = SessionState::kFailed;
+        }
+      }
+    };
+  }
 
   StagedGatewayRun out;
   out.report = engine.run_staged(
@@ -1089,7 +1123,7 @@ StagedGatewayRun run_gateway_staged(
             return fail(Error::make("test.unexpected_state"));
         }
       },
-      admission, [&](std::size_t i) { return i % worlds.size(); });
+      admission, [&](std::size_t i) { return i % worlds.size(); }, batching);
   out.unverified_accepts = unverified.load();
   out.wrong_bodies = wrong_body.load();
   return out;
@@ -1206,6 +1240,49 @@ TEST(StagedGatewayEndToEnd, SameSeedWorldsGiveBitIdenticalTranscripts) {
   EXPECT_EQ(a.session_virt_ms, b.session_virt_ms);
   EXPECT_EQ(a.succeeded, b.succeeded);
   EXPECT_EQ(a.virt_makespan_ms, b.virt_makespan_ms);
+}
+
+TEST(StagedGatewayEndToEnd, BatchedFourWorkerDigestMatchesSerialUnbatched) {
+  // bench_gateway's staged_batch shape at 4 workers: several same-seed
+  // worlds, batched verify. Two things would let the host rather than the
+  // seed shape the run, and both are pinned:
+  //  - The first KDS fetch: the engine's VCEK cache is shared, so whichever
+  //    session reaches it first pays the round trip. With several worlds
+  //    that is decided by real thread arrival, so one untimed session on
+  //    world 0 fills the cache before the measured run.
+  //  - Session start: boot charges measured wall time to each world's
+  //    virtual clock (vm::PhaseTimer); snapping to the next minute boundary
+  //    starts every world at the same t0.
+  // After that, neither the worker count nor batched verify may change a
+  // single transcript bit.
+  constexpr std::size_t kWorlds = 3;
+  constexpr std::size_t kSessions = 12;
+  const auto run_once = [](unsigned workers, bool batch_verify) {
+    SessionEngineConfig config;
+    config.workers = workers;
+    SessionEngine engine(config);
+    auto worlds = build_worlds(kWorlds, "gw-staged-det-batch-1");
+    for (auto& world : worlds) {
+      world->browser.set_chain_cache(&engine.chain_cache());
+    }
+    EXPECT_EQ(run_gateway_staged(engine, worlds, 1, 1).report.succeeded, 1u);
+    constexpr SimClock::Micros kMinute = 60'000'000;
+    for (auto& world : worlds) {
+      world->clock.advance_us(kMinute - world->clock.now_us() % kMinute);
+    }
+    return run_gateway_staged(engine, worlds, kSessions, 1, {}, batch_verify)
+        .report;
+  };
+
+  const auto serial = run_once(1, /*batch_verify=*/false);
+  EXPECT_EQ(serial.succeeded, kSessions);
+  for (int round = 0; round < 2; ++round) {
+    const auto batched = run_once(4, /*batch_verify=*/true);
+    EXPECT_EQ(batched.succeeded, kSessions);
+    EXPECT_GT(batched.batch_calls, 0u) << "verify really went batched";
+    EXPECT_EQ(batched.transcript_digest, serial.transcript_digest)
+        << "round " << round;
+  }
 }
 
 }  // namespace
