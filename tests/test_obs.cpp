@@ -487,6 +487,66 @@ TEST_F(ObsE2eFixture, AttestedGetProducesTheDocumentedSpanTree) {
   EXPECT_GT(kds_fetch->virt_us(), 0u);
 }
 
+TEST_F(ObsE2eFixture, StagedVerifyProducesTheDocumentedSpanTree) {
+  core::Browser browser(network, "laptop", acme.trusted_roots(),
+                        crypto::HmacDrbg(to_bytes(std::string_view("user3"))));
+  core::WebExtensionConfig ext_config;
+  ext_config.kds_address = {"kds.amd.com", 443};
+  core::WebExtension extension(browser, ext_config);
+  core::SiteRegistration site;
+  site.expected_measurements = {expected};
+  extension.register_site("obs.revelio.app", site);
+
+  auto session = extension.begin_session("obs.revelio.app", 443);
+  ASSERT_TRUE(session.handshake().ok());
+  ASSERT_TRUE(session.fetch_evidence().ok());
+  ASSERT_TRUE(session.fetch_kds().ok());
+
+  const auto report_verify_total = [] {
+    std::uint64_t total = 0;
+    for (const auto& [key, counter] : obs::metrics().counters()) {
+      if (key.rfind("sevsnp.report_verify.result.count", 0) == 0) {
+        total += counter.value();
+      }
+    }
+    return total;
+  };
+  auto& m = obs::metrics();
+  const auto verify_ok0 = m.counter_value("sevsnp.report_verify.result.count",
+                                          {{"result", "ok"}});
+  const auto verify_total0 = report_verify_total();
+
+  TracerGuard guard;  // tracing on only for the verify stage
+  ASSERT_TRUE(session.verify().ok());
+
+  // One report verification, a root here (the stage runs on its own wake),
+  // nesting the VCEK chain walk and the signature check.
+  std::size_t reports = 0;
+  for (const auto& span : obs::tracer().finished_spans()) {
+    if (span.name == "sevsnp.report_verify") ++reports;
+  }
+  EXPECT_EQ(reports, 1u);
+  const auto* report = find_span("sevsnp.report_verify");
+  ASSERT_NE(report, nullptr);
+  EXPECT_EQ(report->parent_id, 0u);
+  EXPECT_EQ(report->attr("result"), "ok");
+  EXPECT_EQ(report->attr("measurement_ok"), "true");
+  const auto* chain = find_span("pki.chain_verify");
+  ASSERT_NE(chain, nullptr);
+  EXPECT_EQ(parent_name(*chain), "sevsnp.report_verify");
+  EXPECT_EQ(chain->attr("result"), "ok");
+  const auto* signature = find_span("sevsnp.signature_verify");
+  ASSERT_NE(signature, nullptr);
+  EXPECT_EQ(parent_name(*signature), "sevsnp.report_verify");
+  EXPECT_EQ(signature->attr("result"), "ok");
+
+  // Exactly one report-verify counter bump for the session.
+  EXPECT_EQ(m.counter_value("sevsnp.report_verify.result.count",
+                            {{"result", "ok"}}),
+            verify_ok0 + 1);
+  EXPECT_EQ(report_verify_total(), verify_total0 + 1);
+}
+
 TEST_F(ObsE2eFixture, MonitoredGetAndRegistryLookupEmitMetrics) {
   core::Browser browser(network, "laptop", acme.trusted_roots(),
                         crypto::HmacDrbg(to_bytes(std::string_view("user2"))));

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+
+#include "fleet/tcb_horizon.hpp"
 #include "imagebuild/builder.hpp"
+#include "obs/audit_log.hpp"
 #include "obs/metrics.hpp"
+#include "pki/acme.hpp"
 #include "revelio/revelio_vm.hpp"
+#include "revelio/revocation.hpp"
 #include "revelio/sp_node.hpp"
 #include "revelio/trusted_registry.hpp"
 #include "revelio/web_extension.hpp"
@@ -680,6 +687,259 @@ TEST(EvidenceBundle, BindAndRoundTrip) {
   bundle.payload.push_back('!');
   EXPECT_FALSE(bundle.binding_ok());
   EXPECT_FALSE(EvidenceBundle::parse(to_bytes(std::string_view("x"))).ok());
+}
+
+// ----------------------------------- one check sequence, three entry points
+
+/// One SEV-SNP platform behind a CA-valid TLS endpoint that serves whatever
+/// evidence bundle the test puts in `evidence`: enough to hand the same
+/// (possibly doctored) evidence to the blocking get(), the staged verify()
+/// and batch_verify_sessions() and compare their verdicts.
+struct ExtensionPathsFixture : ::testing::Test {
+  enum class Path { kBlocking, kStaged, kBatch };
+
+  /// Everything a verdict leaves behind that the three paths must agree on.
+  struct Outcome {
+    std::string status;  // "ok" or the error's to_string()
+    std::string step;    // last_checks()->failure_step, "(none)" if unset
+    std::uint8_t checks = 0;  // last_checks() as an AuditRecord bitmap
+    std::vector<Bytes> audit;  // serialized records, virt_us zeroed
+    std::map<std::string, std::uint64_t> counters;  // verdict counter deltas
+  };
+
+  ExtensionPathsFixture()
+      : network(clock),
+        drbg(to_bytes(std::string_view("extension-paths"))),
+        kds(drbg),
+        kds_service(kds, network, {"kds.amd.com", 443}),
+        acme(clock, drbg),
+        platform(to_bytes(std::string_view("paths-platform")),
+                 sevsnp::TcbVersion{2, 0, 8, 115}) {}
+
+  void SetUp() override {
+    kds.register_platform(platform);
+    ASSERT_TRUE(platform.launch_start(0x30000).ok());
+    ASSERT_TRUE(platform.launch_update(to_bytes(std::string_view("img"))).ok());
+    ASSERT_TRUE(platform.launch_finish().ok());
+
+    HmacDrbg key_drbg(to_bytes(std::string_view("site-key")));
+    const auto key = crypto::ec_generate(crypto::p256(), key_drbg);
+    const Bytes public_key = key.public_encoded(crypto::p256());
+    const auto csr = pki::make_csr(crypto::p256(), key,
+                                   {kDomain, "Site", "US"}, {kDomain});
+    const std::string token = acme.request_challenge("site-acct", kDomain);
+    network.dns_set_txt("_acme-challenge." + std::string(kDomain), token);
+    auto cert = acme.finalize("site-acct", csr, [&](const auto& name) {
+      return network.dns_txt(name);
+    });
+    ASSERT_TRUE(cert.ok());
+
+    net::TlsServerIdentity identity;
+    identity.curve = &crypto::p256();
+    identity.key = key;
+    identity.certificate = *cert;
+    identity.intermediates = acme.intermediates();
+    server = std::make_unique<net::TlsServer>(
+        std::move(identity),
+        [this](ByteView raw, const net::Address&) {
+          auto request = net::HttpRequest::parse(raw);
+          if (request.ok() &&
+              request->path == "/.well-known/revelio-attestation") {
+            return net::HttpResponse::ok(evidence.serialize()).serialize();
+          }
+          return net::HttpResponse::ok(
+                     to_bytes(std::string_view("<html>app</html>")))
+              .serialize();
+        },
+        HmacDrbg(to_bytes(std::string_view("site-entropy"))));
+    server->install(network, {"10.0.0.1", 443});
+    network.dns_set_a(kDomain, "10.0.0.1");
+
+    auto report = platform.get_report(EvidenceBundle::bind(public_key));
+    ASSERT_TRUE(report.ok());
+    evidence = EvidenceBundle{std::move(*report), public_key};
+    site.expected_measurements = {evidence.report.measurement};
+  }
+
+  static std::map<std::string, std::uint64_t> verdict_counters() {
+    std::map<std::string, std::uint64_t> values;
+    for (const auto& [key, counter] : obs::metrics().counters()) {
+      if (key.rfind("ext.attest.", 0) == 0 ||
+          key.rfind("sevsnp.report_verify.", 0) == 0) {
+        values[key] = counter.value();
+      }
+    }
+    return values;
+  }
+
+  Browser make_browser() {
+    return Browser(network, "laptop", acme.trusted_roots(),
+                   HmacDrbg(to_bytes(std::string_view("browser"))));
+  }
+
+  WebExtensionConfig extension_config() {
+    WebExtensionConfig config;
+    config.kds_address = {"kds.amd.com", 443};
+    config.revocation_set = &revocation;
+    config.tcb_horizon = &horizon;
+    return config;
+  }
+
+  /// One attestation of the served evidence by a fresh browser + extension
+  /// (fresh TLS session, chain cache and VCEK cache) through `path`.
+  Outcome run(Path path) {
+    Outcome out;
+    obs::AuditLog audit;
+    audit.set_sink([&out](std::uint8_t, ByteView body) {
+      auto record = obs::AuditRecord::parse(body);
+      if (record.ok()) {
+        record->virt_us = 0;  // the blocking path fetches the page first
+        out.audit.push_back(record->serialize());
+      }
+      return Status::success();
+    });
+    Browser browser = make_browser();
+    WebExtensionConfig config = extension_config();
+    config.audit_log = &audit;
+    WebExtension extension(browser, config);
+    extension.register_site(kDomain, site);
+
+    const auto before = verdict_counters();
+    Status st = Status::success();
+    if (path == Path::kBlocking) {
+      auto got = extension.get(kDomain, 443, "/");
+      if (!got.ok()) st = got.error();
+    } else {
+      auto session = extension.begin_session(kDomain, 443);
+      st = session.handshake();
+      if (st.ok()) st = session.fetch_evidence();
+      if (st.ok()) st = session.fetch_kds();
+      if (st.ok()) {
+        st = path == Path::kStaged ? session.verify()
+                                   : batch_verify_sessions({&session}).front();
+      }
+    }
+    for (const auto& [key, value] : verdict_counters()) {
+      const auto it = before.find(key);
+      const std::uint64_t delta = value - (it == before.end() ? 0 : it->second);
+      if (delta != 0) out.counters[key] = delta;
+    }
+
+    out.status = st.ok() ? "ok" : st.error().to_string();
+    const AttestationChecks* checks = extension.last_checks(kDomain);
+    out.step = checks == nullptr ? "(none)" : checks->failure_step;
+    if (checks != nullptr) {
+      const bool bits[] = {checks->evidence_fetched, checks->binding_ok,
+                           checks->chain_ok,         checks->signature_ok,
+                           checks->measurement_ok,   checks->tls_binding_ok};
+      for (std::size_t i = 0; i < std::size(bits); ++i) {
+        if (bits[i]) out.checks |= static_cast<std::uint8_t>(1u << i);
+      }
+    }
+    return out;
+  }
+
+  /// Runs the three paths against the current evidence and requires one
+  /// verdict: status, failure step, checks, audit record and counters.
+  void expect_paths_agree(const std::string& step,
+                          const std::string& report_verify_result) {
+    const Outcome blocking = run(Path::kBlocking);
+    EXPECT_EQ(blocking.step, step) << blocking.status;
+    EXPECT_EQ(blocking.status == "ok", step.empty()) << blocking.status;
+    ASSERT_EQ(blocking.audit.size(), 1u);
+    EXPECT_EQ(blocking.counters.at(
+                  "ext.attest.result.count{result=" +
+                  (step.empty() ? std::string("ok") : step) + "}"),
+              1u);
+    const std::string report_key =
+        "sevsnp.report_verify.result.count{result=" + report_verify_result +
+        "}";
+    if (report_verify_result.empty()) {
+      for (const auto& [key, delta] : blocking.counters) {
+        EXPECT_NE(key.rfind("sevsnp.report_verify.", 0), 0u)
+            << "no signature work may happen: " << key;
+      }
+    } else {
+      EXPECT_EQ(blocking.counters.count(report_key), 1u) << report_key;
+    }
+
+    const std::pair<const char*, Path> others[] = {{"staged", Path::kStaged},
+                                                   {"batch", Path::kBatch}};
+    for (const auto& [name, path] : others) {
+      SCOPED_TRACE(name);
+      const Outcome other = run(path);
+      EXPECT_EQ(other.status, blocking.status);
+      EXPECT_EQ(other.step, blocking.step);
+      EXPECT_EQ(other.checks, blocking.checks);
+      EXPECT_EQ(other.audit, blocking.audit);
+      EXPECT_EQ(other.counters, blocking.counters);
+    }
+  }
+
+  SimClock clock;
+  net::Network network;
+  HmacDrbg drbg;
+  sevsnp::KeyDistributionServer kds;
+  KdsService kds_service;
+  pki::AcmeIssuer acme;
+  sevsnp::AmdSp platform;
+  std::unique_ptr<net::TlsServer> server;
+  EvidenceBundle evidence;
+  SiteRegistration site;
+  RevocationSet revocation;
+  fleet::TcbHorizon horizon;
+};
+
+TEST_F(ExtensionPathsFixture, AcceptAgreesAcrossPaths) {
+  expect_paths_agree("", "ok");
+}
+
+TEST_F(ExtensionPathsFixture, WrongMeasurementAgreesAcrossPaths) {
+  site.expected_measurements = {sevsnp::Measurement{}};
+  expect_paths_agree("measurement", "ok");
+}
+
+TEST_F(ExtensionPathsFixture, RevokedMeasurementAgreesAcrossPaths) {
+  ASSERT_TRUE(
+      revocation.revoke_measurement(evidence.report.measurement, "bad image")
+          .ok());
+  expect_paths_agree("revocation", "");
+}
+
+TEST_F(ExtensionPathsFixture, RevokedChipAgreesAcrossPaths) {
+  ASSERT_TRUE(revocation.revoke_chip(platform.chip_id(), "key leak").ok());
+  expect_paths_agree("revocation", "");
+}
+
+TEST_F(ExtensionPathsFixture, RevokedVcekAgreesAcrossPaths) {
+  auto vcek = kds.fetch_vcek(platform.chip_id(), platform.tcb());
+  ASSERT_TRUE(vcek.ok());
+  ASSERT_TRUE(revocation.revoke_vcek(vcek->fingerprint(), "misissued").ok());
+  expect_paths_agree("revocation", "");
+}
+
+TEST_F(ExtensionPathsFixture, TcbBelowHorizonAgreesAcrossPaths) {
+  ASSERT_TRUE(horizon
+                  .announce(platform.chip_id(),
+                            sevsnp::TcbVersion{3, 0, 9, 120}, clock.now_us(),
+                            "staged update")
+                  .ok());
+  expect_paths_agree("tcb_horizon", "");
+}
+
+TEST_F(ExtensionPathsFixture, TcbBelowSiteMinimumAgreesAcrossPaths) {
+  site.minimum_tcb = sevsnp::TcbVersion{3, 0, 9, 120};
+  expect_paths_agree("report_verify", "snp.tcb_too_old");
+}
+
+TEST_F(ExtensionPathsFixture, ForgedReportSignatureAgreesAcrossPaths) {
+  evidence.report.signature.back() ^= 0x01;
+  expect_paths_agree("report_verify", "snp.signature_invalid");
+}
+
+TEST_F(ExtensionPathsFixture, ExpiredVcekChainAgreesAcrossPaths) {
+  kds.set_vcek_not_after(1);  // every VCEK issued from now on is expired
+  expect_paths_agree("chain", "snp.vcek_chain_invalid");
 }
 
 }  // namespace
