@@ -97,6 +97,31 @@ std::vector<net::Address> kds_replicas(const WebExtensionConfig& config) {
                   config.kds_mirrors.end());
   return replicas;
 }
+
+/// Books one report's verification result where sevsnp::verify_report
+/// books it — the sevsnp.report_verify span's attributes (when the caller
+/// holds that span) and the result counter — and maps it onto `checks`:
+/// chain failures vs report_verify failures. True iff st is ok.
+bool record_report_verify(const Status& st, std::optional<obs::Span>* span,
+                          AttestationChecks& checks) {
+  if (span != nullptr && span->has_value()) {
+    (*span)->attr("result", st.ok() ? "ok" : st.error().code);
+    (*span)->attr("measurement_ok", st.ok());
+    span->reset();
+  }
+  sevsnp::record_report_verify_result(st);
+  if (st.ok()) {
+    checks.chain_ok = true;
+    checks.signature_ok = true;
+    return true;
+  }
+  // Distinguish chain failures from signature failures for the UI.
+  const bool chain = st.error().code == "snp.vcek_chain_invalid";
+  checks.chain_ok = !chain;
+  checks.failure = st.error().to_string();
+  checks.failure_step = chain ? "chain" : "report_verify";
+  return false;
+}
 }  // namespace
 
 WebExtension::WebExtension(Browser& browser, WebExtensionConfig config)
@@ -108,7 +133,13 @@ WebExtension::WebExtension(Browser& browser, WebExtensionConfig config)
       chain_verifier_(config_.shared_chain_cache != nullptr
                           ? config_.shared_chain_cache
                           : static_cast<pki::ChainVerifier*>(
-                                chain_cache_.get())) {}
+                                chain_cache_.get())),
+      own_vcek_cache_(config_.shared_vcek_cache != nullptr
+                          ? nullptr
+                          : std::make_unique<VcekCache>(/*shards=*/1)),
+      vcek_cache_(config_.shared_vcek_cache != nullptr
+                      ? config_.shared_vcek_cache
+                      : own_vcek_cache_.get()) {}
 
 void WebExtension::register_site(const std::string& domain,
                                  SiteRegistration site) {
@@ -137,87 +168,38 @@ Result<bool> WebExtension::discover(const std::string& domain,
 Result<KdsService::VcekResponse> WebExtension::fetch_vcek(
     const sevsnp::ChipId& chip, sevsnp::TcbVersion tcb,
     const net::Deadline& deadline) {
-  if (config_.shared_vcek_cache != nullptr) {
-    // Gateway mode: hit the shared cache; on a miss, this extension's own
-    // resilience stack (retry x failover, breakers) becomes the
-    // single-flight leader's fetch — concurrent sessions missing on the
-    // same (chip, tcb) wait for it instead of stampeding the KDS.
-    bool fetched = false;  // did THIS call run the leader fetch?
-    auto result = config_.shared_vcek_cache->get_or_fetch(chip, tcb, [&] {
-      fetched = true;
-      obs::Span span("ext.kds_fetch");
-      ++kds_fetches_;
-      obs::metrics().counter("ext.kds_fetch.count").inc();
-      SimClock& clock = browser_->network().clock();
-      auto response = net::with_retries(
-          clock, retry_jitter_, config_.retry, deadline, "ext.kds_fetch", [&] {
-            return kds_failover_.execute(clock, [&](const net::Address& kds) {
-              return KdsService::fetch(browser_->network(),
-                                       {browser_->host(), 39999}, kds, chip,
-                                       tcb);
-            });
+  // On a miss, this extension's own resilience stack (retry x failover,
+  // breakers) becomes the cache's single-flight leader fetch — on a shared
+  // gateway cache, concurrent sessions missing on the same (chip, tcb) wait
+  // for it instead of stampeding the KDS.
+  bool fetched = false;  // did THIS call run the leader fetch?
+  auto result = vcek_cache_->get_or_fetch(chip, tcb, [&] {
+    fetched = true;
+    obs::Span span("ext.kds_fetch");
+    ++kds_fetches_;
+    obs::metrics().counter("ext.kds_fetch.count").inc();
+    SimClock& clock = browser_->network().clock();
+    // Retry wraps failover: each attempt sweeps the replica list (skipping
+    // open breakers), and the backoff between attempts is what lets an open
+    // breaker reach its half-open probe window.
+    auto response = net::with_retries(
+        clock, retry_jitter_, config_.retry, deadline, "ext.kds_fetch", [&] {
+          return kds_failover_.execute(clock, [&](const net::Address& kds) {
+            return KdsService::fetch(browser_->network(),
+                                     {browser_->host(), 39999}, kds, chip,
+                                     tcb);
           });
-      span.attr("result", response.ok() ? "ok" : response.error().code);
-      return response;
-    });
-    // Single-flight followers land on the hit side: they paid a wait, not
-    // a fetch — the flight timeline should say so.
-    obs::flight_record(fetched ? obs::FlightEventType::kCacheMiss
-                               : obs::FlightEventType::kCacheHit,
-                       /*arg=*/1);
-    return result;
-  }
-
-  const auto key = std::make_pair(chip.bytes(), tcb.encode());
-  if (config_.cache_vcek) {
-    const auto it = vcek_cache_.find(key);
-    if (it != vcek_cache_.end()) {
-      ++vcek_cache_hits_;
-      obs::metrics().counter("ext.vcek_cache.hit.count").inc();
-      obs::flight_record(obs::FlightEventType::kCacheHit, /*arg=*/1);
-      return it->second;
-    }
-  }
-  obs::flight_record(obs::FlightEventType::kCacheMiss, /*arg=*/1);
-  obs::Span span("ext.kds_fetch");
-  ++kds_fetches_;
-  obs::metrics().counter("ext.kds_fetch.count").inc();
-  SimClock& clock = browser_->network().clock();
-  // Retry wraps failover: each attempt sweeps the replica list (skipping
-  // open breakers), and the backoff between attempts is what lets an open
-  // breaker reach its half-open probe window.
-  auto response = net::with_retries(
-      clock, retry_jitter_, config_.retry, deadline, "ext.kds_fetch", [&] {
-        return kds_failover_.execute(clock, [&](const net::Address& kds) {
-          return KdsService::fetch(browser_->network(),
-                                   {browser_->host(), 39999}, kds, chip, tcb);
         });
-      });
-  span.attr("result", response.ok() ? "ok" : response.error().code);
-  if (!response.ok()) return response.error();
-  if (config_.cache_vcek) vcek_cache_[key] = *response;
-  return response;
-}
-
-Result<AttestationChecks> WebExtension::attest(const std::string& domain,
-                                               std::uint16_t port,
-                                               const Bytes& session_key,
-                                               const net::Deadline& deadline) {
-  obs::Span span("ext.attest");
-  span.attr("domain", domain);
-  auto checks = attest_impl(domain, port, session_key, deadline);
-  const std::string result =
-      !checks.ok() ? checks.error().code
-                   : (checks->all_ok() ? "ok" : checks->failure_step);
-  span.attr("result", result);
-  note_attest_result(result);
-  return checks;
-}
-
-void WebExtension::note_attest_result(const std::string& result) {
-  obs::metrics()
-      .counter("ext.attest.result.count", {{"result", result}})
-      .inc();
+    span.attr("result", response.ok() ? "ok" : response.error().code);
+    return response;
+  });
+  if (!fetched && result.ok()) ++vcek_cache_hits_;
+  // Single-flight followers land on the hit side: they paid a wait, not
+  // a fetch — the flight timeline should say so.
+  obs::flight_record(fetched ? obs::FlightEventType::kCacheMiss
+                             : obs::FlightEventType::kCacheHit,
+                     /*arg=*/1);
+  return result;
 }
 
 void WebExtension::note_verdict(const AttestationChecks& checks,
@@ -263,99 +245,12 @@ void WebExtension::note_verdict(const AttestationChecks& checks,
   config_.audit_log->append(rec);
 }
 
-std::optional<EvidenceBundle> WebExtension::stage_evidence(
-    const std::string& domain, std::uint16_t port,
-    const net::Deadline& deadline, AttestationChecks& checks) {
-  ++attestations_;
-
-  // 1. Fetch the evidence from the well-known URL over the same session.
-  obs::Span evidence_span("ext.evidence_fetch");
-  SimClock& clock = browser_->network().clock();
-  auto evidence_response = net::with_retries(
-      clock, retry_jitter_, config_.retry, deadline, "ext.evidence_fetch",
-      [&] {
-        return browser_->get(domain, port, "/.well-known/revelio-attestation");
-      });
-  if (!evidence_response.ok() || evidence_response->response.status != 200) {
-    evidence_span.attr("result", "fetch_failed");
-    checks.failure = "evidence fetch failed";
-    checks.failure_step = "evidence_fetch";
-    return std::nullopt;
-  }
-  auto bundle = EvidenceBundle::parse(evidence_response->response.body);
-  if (!bundle.ok()) {
-    evidence_span.attr("result", "unparseable");
-    checks.failure = "evidence unparseable";
-    checks.failure_step = "evidence_parse";
-    return std::nullopt;
-  }
-  evidence_span.attr("result", "ok");
-  evidence_span.end();
-  checks.evidence_fetched = true;
-
-  // 2. REPORT_DATA must cover the served payload (the VM's identity key).
-  if (!bundle->binding_ok()) {
-    checks.failure = "REPORT_DATA does not cover the payload";
-    checks.failure_step = "binding";
-    return std::nullopt;
-  }
-  checks.binding_ok = true;
-  return *bundle;
-}
-
-Result<AttestationChecks> WebExtension::attest_impl(
-    const std::string& domain, std::uint16_t port, const Bytes& session_key,
-    const net::Deadline& deadline) {
-  AttestationChecks checks;
-
-  // Stages 1-2: evidence fetch + parse + REPORT_DATA binding.
-  auto bundle = stage_evidence(domain, port, deadline, checks);
-  if (!bundle.has_value()) {
-    note_verdict(checks, nullptr, nullptr, false);
-    return checks;
-  }
-
-  // 3. VCEK chain from the AMD KDS (cached across sessions).
-  auto kds = fetch_vcek(bundle->report.chip_id, bundle->report.reported_tcb,
-                        deadline);
-  if (!kds.ok()) {
-    checks.failure = "VCEK fetch failed: " + kds.error().to_string();
-    checks.failure_step = "kds_fetch";
-    note_verdict(checks, &*bundle, nullptr, false);
-    return checks;
-  }
-
-  // Stages 4-5: verification, measurement policy, TLS binding.
-  const bool ok = stage_verify(domain, *bundle, *kds, session_key, checks);
-  note_verdict(checks, &*bundle, &*kds, ok);
-  return checks;
-}
-
-bool WebExtension::apply_verify_status(const Status& st,
-                                       AttestationChecks& checks) {
-  if (!st.ok()) {
-    // Distinguish chain failures from signature failures for the UI.
-    if (st.error().code == "snp.vcek_chain_invalid") {
-      checks.failure = st.error().to_string();
-      checks.failure_step = "chain";
-      return false;
-    }
-    checks.chain_ok = true;
-    checks.failure = st.error().to_string();
-    checks.failure_step = "report_verify";
-    return false;
-  }
-  checks.chain_ok = true;
-  checks.signature_ok = true;
-  return true;
-}
-
 bool WebExtension::verify_policy(const std::string& domain,
                                  const EvidenceBundle& bundle,
                                  const Bytes& session_key,
                                  AttestationChecks& checks) {
   const SiteRegistration& site = sites_.at(domain);
-  // 4. Measurement: manual pin or delegated registry.
+  // Measurement: manual pin or delegated registry.
   bool acceptable = false;
   for (const auto& m : site.expected_measurements) {
     acceptable = acceptable || bundle.report.measurement == m;
@@ -372,19 +267,13 @@ bool WebExtension::verify_policy(const std::string& domain,
   }
   checks.measurement_ok = true;
 
-  // 5. The TLS endpoint must terminate at the attested key (§3.4.5).
+  // The TLS endpoint must terminate at the attested key (§3.4.5).
   if (!(session_key == bundle.payload)) {
     checks.failure = "TLS connection does not terminate at the attested key";
     checks.failure_step = "tls_binding";
     return false;
   }
   checks.tls_binding_ok = true;
-
-  DomainState state;
-  state.attested = true;
-  state.attested_key = bundle.payload;
-  state.checks = checks;
-  state_[domain] = std::move(state);
   return true;
 }
 
@@ -425,27 +314,6 @@ bool WebExtension::check_tcb_horizon(const EvidenceBundle& bundle,
   return false;
 }
 
-bool WebExtension::stage_verify(const std::string& domain,
-                                const EvidenceBundle& bundle,
-                                const KdsService::VcekResponse& kds,
-                                const Bytes& session_key,
-                                AttestationChecks& checks) {
-  // Revocation and the fleet TCB horizon are checked before a single
-  // signature is examined: evidence from a revoked identity or below its
-  // chip's update horizon must not even reach the crypto.
-  if (!check_revocation(bundle, kds, checks)) return false;
-  if (!check_tcb_horizon(bundle, checks)) return false;
-  const SiteRegistration& site = sites_.at(domain);
-  sevsnp::ReportVerifyOptions options;
-  options.now_us = browser_->network().clock().now_us();
-  options.minimum_tcb = site.minimum_tcb;
-  options.chain_cache = chain_verifier_;
-  const auto verify = sevsnp::verify_report(bundle.report, kds.vcek,
-                                            {kds.ask}, {kds.ark}, options);
-  if (!apply_verify_status(verify, checks)) return false;
-  return verify_policy(domain, bundle, session_key, checks);
-}
-
 Result<WebExtension::Verified> WebExtension::fetch(
     const std::string& domain, std::uint16_t port,
     const net::HttpRequest& request) {
@@ -476,20 +344,24 @@ Result<WebExtension::Verified> WebExtension::fetch(
 
   if (need_full_attestation) {
     span.attr("mode", "attest");
-    auto checks = attest(domain, port, result->tls_server_key, deadline);
-    if (!checks.ok()) {
-      span.attr("result", checks.error().code);
-      return checks.error();
-    }
-    if (!checks->all_ok()) {
-      // Fail closed: surface the response-less verdict to the caller.
-      state_[domain].checks = *checks;
-      state_[domain].attested = false;
-      span.attr("result", "extension.attestation_failed");
-      return Error::make("extension.attestation_failed", checks->failure);
+    // The staged sequence, entered past its handshake: the page fetch above
+    // already holds the session whose key the evidence must cover.
+    StagedAttestation pass(*this, domain, port, result->tls_server_key,
+                           deadline);
+    obs::Span attest_span("ext.attest");
+    attest_span.attr("domain", domain);
+    Status st = pass.fetch_evidence();
+    if (st.ok()) st = pass.fetch_kds();
+    if (st.ok()) st = pass.verify();
+    attest_span.attr("result", st.ok() ? "ok" : pass.checks().failure_step);
+    attest_span.end();
+    if (!st.ok()) {
+      // Fail closed: the verdict is in last_checks(), the page is dropped.
+      span.attr("result", st.error().code);
+      return st.error();
     }
     span.attr("result", "ok");
-    return Verified{std::move(result->response), *checks};
+    return Verified{std::move(result->response), pass.checks()};
   }
 
   // Monitoring path: every request validates that the connection still
@@ -531,6 +403,26 @@ Status WebExtension::StagedAttestation::wrong_stage(const char* want) const {
                      std::string("expected stage ") + want);
 }
 
+Status WebExtension::StagedAttestation::conclude(bool accepted) {
+  ext_->note_verdict(
+      checks_, bundle_ ? &*bundle_ : nullptr, kds_ ? &*kds_ : nullptr,
+      accepted, audit_evidence_digest_ ? &*audit_evidence_digest_ : nullptr,
+      audit_chain_digest_ ? &*audit_chain_digest_ : nullptr);
+  obs::metrics()
+      .counter("ext.attest.result.count",
+               {{"result", accepted ? "ok" : checks_.failure_step}})
+      .inc();
+  DomainState& state = ext_->state_[domain_];
+  state.checks = checks_;
+  state.attested = accepted;
+  if (!accepted) {
+    return Error::make("extension.attestation_failed", checks_.failure);
+  }
+  state.attested_key = bundle_->payload;
+  next_ = Stage::kPage;
+  return Status::success();
+}
+
 Status WebExtension::StagedAttestation::handshake() {
   if (next_ != Stage::kHandshake) return wrong_stage("handshake");
   if (ext_->sites_.count(domain_) == 0) {
@@ -550,12 +442,40 @@ Status WebExtension::StagedAttestation::handshake() {
 
 Status WebExtension::StagedAttestation::fetch_evidence() {
   if (next_ != Stage::kEvidence) return wrong_stage("fetch_evidence");
-  bundle_ = ext_->stage_evidence(domain_, port_, deadline_, checks_);
-  if (!bundle_.has_value()) {
-    ext_->note_attest_result(checks_.failure_step);
-    ext_->note_verdict(checks_, nullptr, nullptr, false);
-    return Error::make("extension.attestation_failed", checks_.failure);
+  ++ext_->attestations_;
+  // The evidence comes from the well-known URL over the same TLS session.
+  obs::Span span("ext.evidence_fetch");
+  auto response = net::with_retries(
+      ext_->browser_->network().clock(), ext_->retry_jitter_,
+      ext_->config_.retry, deadline_, "ext.evidence_fetch", [&] {
+        return ext_->browser_->get(domain_, port_,
+                                   "/.well-known/revelio-attestation");
+      });
+  if (!response.ok() || response->response.status != 200) {
+    span.attr("result", "fetch_failed");
+    checks_.failure = "evidence fetch failed";
+    checks_.failure_step = "evidence_fetch";
+    return conclude(false);
   }
+  auto bundle = EvidenceBundle::parse(response->response.body);
+  if (!bundle.ok()) {
+    span.attr("result", "unparseable");
+    checks_.failure = "evidence unparseable";
+    checks_.failure_step = "evidence_parse";
+    return conclude(false);
+  }
+  span.attr("result", "ok");
+  span.end();
+  checks_.evidence_fetched = true;
+
+  // REPORT_DATA must cover the served payload (the VM's identity key).
+  if (!bundle->binding_ok()) {
+    checks_.failure = "REPORT_DATA does not cover the payload";
+    checks_.failure_step = "binding";
+    return conclude(false);
+  }
+  checks_.binding_ok = true;
+  bundle_ = std::move(*bundle);
   next_ = Stage::kKds;
   return Status::success();
 }
@@ -567,9 +487,7 @@ Status WebExtension::StagedAttestation::fetch_kds() {
   if (!kds.ok()) {
     checks_.failure = "VCEK fetch failed: " + kds.error().to_string();
     checks_.failure_step = "kds_fetch";
-    ext_->note_attest_result(checks_.failure_step);
-    ext_->note_verdict(checks_, &*bundle_, nullptr, false);
-    return Error::make("extension.attestation_failed", checks_.failure);
+    return conclude(false);
   }
   kds_ = std::move(*kds);
   next_ = Stage::kVerify;
@@ -577,86 +495,65 @@ Status WebExtension::StagedAttestation::fetch_kds() {
 }
 
 Status WebExtension::StagedAttestation::verify() {
-  if (next_ != Stage::kVerify) return wrong_stage("verify");
-  const bool ok =
-      ext_->stage_verify(domain_, *bundle_, *kds_, session_key_, checks_);
-  ext_->note_verdict(checks_, &*bundle_, &*kds_, ok);
-  if (!ok) {
-    // Fail closed, mirroring fetch(): record the verdict so last_checks()
-    // shows why, and never serve the page.
-    ext_->state_[domain_].checks = checks_;
-    ext_->state_[domain_].attested = false;
-    ext_->note_attest_result(checks_.failure_step);
-    return Error::make("extension.attestation_failed", checks_.failure);
-  }
-  ext_->note_attest_result("ok");
-  next_ = Stage::kPage;
-  return Status::success();
+  // One report through the batch path's own prepare -> finish body, with
+  // the signature equation inline between them — all inside the
+  // sevsnp.report_verify span that sevsnp::verify_report would open.
+  std::optional<obs::Span> report_span;
+  auto prepared = prepare(&report_span);
+  if (!prepared.ok()) return prepared.error();
+  const bool signature_ok =
+      crypto::ecdsa_verify(crypto::p384(), prepared->vcek_pub,
+                           prepared->digest.view(), prepared->signature);
+  return finish(signature_ok, &report_span);
 }
 
 Result<sevsnp::PreparedReportVerify>
 WebExtension::StagedAttestation::verify_prepare() {
+  return prepare(nullptr);
+}
+
+Status WebExtension::StagedAttestation::verify_finish(bool signature_ok) {
+  return finish(signature_ok, nullptr);
+}
+
+Result<sevsnp::PreparedReportVerify> WebExtension::StagedAttestation::prepare(
+    std::optional<obs::Span>* report_span) {
   if (next_ != Stage::kVerify || prepared_) {
     return wrong_stage("verify").error();
   }
+  // Revocation and the fleet TCB horizon are checked before a single
+  // signature is examined: evidence from a revoked identity or below its
+  // chip's update horizon must not even reach the crypto (nor join a
+  // signature batch).
   if (!ext_->check_revocation(*bundle_, *kds_, checks_) ||
       !ext_->check_tcb_horizon(*bundle_, checks_)) {
-    // Terminal like any other failed verify: audited, counted, fail closed
-    // — and the signature batch never sees this session.
-    ext_->note_verdict(checks_, &*bundle_, &*kds_, false);
-    ext_->state_[domain_].checks = checks_;
-    ext_->state_[domain_].attested = false;
-    ext_->note_attest_result(checks_.failure_step);
-    return Error::make("extension.attestation_failed", checks_.failure);
+    return conclude(false).error();
   }
+  if (report_span != nullptr) report_span->emplace("sevsnp.report_verify");
   sevsnp::ReportVerifyOptions options;
   options.now_us = ext_->browser_->network().clock().now_us();
-  options.minimum_tcb = ext_->sites_.at(domain_).minimum_tcb;
   options.chain_cache = ext_->chain_verifier_;
   auto prepared = sevsnp::prepare_report_verify(
       bundle_->report, kds_->vcek, {kds_->ask}, {kds_->ark}, options);
   if (!prepared.ok()) {
-    // Terminal, exactly like a failed verify(): same counters, same audit
-    // record, same state writes, same error.
-    const Status st = prepared.error();
-    sevsnp::record_report_verify_result(st);
-    apply_verify_status(st, checks_);
-    ext_->note_verdict(checks_, &*bundle_, &*kds_, false);
-    ext_->state_[domain_].checks = checks_;
-    ext_->state_[domain_].attested = false;
-    ext_->note_attest_result(checks_.failure_step);
-    return Error::make("extension.attestation_failed", checks_.failure);
+    record_report_verify(prepared.error(), report_span, checks_);
+    return conclude(false).error();
   }
-  // The VCEK is a well-known base every session of this gateway verifies
-  // against — share its precomputed tables process-wide.
-  crypto::p384().pin_verify_tables(prepared->vcek_pub);
   prepared_ = true;
-  return *prepared;
+  return prepared;
 }
 
-Status WebExtension::StagedAttestation::verify_finish(bool signature_ok) {
+Status WebExtension::StagedAttestation::finish(
+    bool signature_ok, std::optional<obs::Span>* report_span) {
   if (next_ != Stage::kVerify || !prepared_) return wrong_stage("verify");
   prepared_ = false;
   sevsnp::ReportVerifyOptions options;
   options.minimum_tcb = ext_->sites_.at(domain_).minimum_tcb;
-  const Status st =
+  const Status report =
       sevsnp::finish_report_verify(bundle_->report, signature_ok, options);
-  sevsnp::record_report_verify_result(st);
-  bool ok = apply_verify_status(st, checks_);
-  if (ok) ok = ext_->verify_policy(domain_, *bundle_, session_key_, checks_);
-  ext_->note_verdict(
-      checks_, &*bundle_, &*kds_, ok,
-      audit_evidence_digest_ ? &*audit_evidence_digest_ : nullptr,
-      audit_chain_digest_ ? &*audit_chain_digest_ : nullptr);
-  if (!ok) {
-    ext_->state_[domain_].checks = checks_;
-    ext_->state_[domain_].attested = false;
-    ext_->note_attest_result(checks_.failure_step);
-    return Error::make("extension.attestation_failed", checks_.failure);
-  }
-  ext_->note_attest_result("ok");
-  next_ = Stage::kPage;
-  return Status::success();
+  return conclude(record_report_verify(report, report_span, checks_) &&
+                  ext_->verify_policy(domain_, *bundle_, session_key_,
+                                      checks_));
 }
 
 Result<net::HttpResponse> WebExtension::StagedAttestation::fetch_page(
@@ -678,9 +575,10 @@ std::vector<Status> batch_verify_sessions(
   using StagedAttestation = WebExtension::StagedAttestation;
   std::vector<Status> out(sessions.size(), Status::success());
 
-  // Per-session prepare: chain walk, key/signature decode, signed-body
-  // digest. A failure is terminal for that slot and bookkept exactly like a
-  // failed verify(); the slot simply doesn't join the signature batch.
+  // Per-session prepare: gates, chain walk, key/signature decode,
+  // signed-body digest. A failure is terminal for that slot and bookkept
+  // exactly like a failed verify(); the slot simply doesn't join the
+  // signature batch.
   std::vector<crypto::EcdsaBatchItem> items;
   std::vector<std::size_t> slots;  // items[j] belongs to sessions[slots[j]]
   items.reserve(sessions.size());
@@ -693,6 +591,9 @@ std::vector<Status> batch_verify_sessions(
       out[k] = prep.error();
       continue;
     }
+    // The VCEK is a well-known base every session of this gateway verifies
+    // against — share its precomputed tables process-wide.
+    crypto::p384().pin_verify_tables(prep->vcek_pub);
     crypto::EcdsaBatchItem item;
     item.pub = prep->vcek_pub;
     append(item.msg_hash, prep->digest.view());

@@ -10,6 +10,10 @@
 // or a delegated TrustedRegistry) and the TLS binding; on every subsequent
 // request it re-checks that the connection still terminates at the
 // attested key, which is what defeats the certificate-swap redirect attack.
+// Every entry point — blocking fetch(), StagedAttestation and
+// batch_verify_sessions — runs one check sequence: the StagedAttestation
+// stages, with verify() split into verify_prepare -> signature ->
+// verify_finish.
 #pragma once
 
 #include <map>
@@ -24,6 +28,7 @@
 
 namespace revelio::obs {
 class AuditLog;  // obs/audit_log.hpp
+class Span;      // obs/trace.hpp
 }  // namespace revelio::obs
 
 namespace revelio {
@@ -134,7 +139,6 @@ struct WebExtensionConfig {
   /// chain is self-authenticating (it must chain to the pinned AMD root),
   /// so fetching it from any mirror is safe.
   std::vector<net::Address> kds_mirrors;
-  bool cache_vcek = true;
   /// Simulated cost of querying the browser's connection context on every
   /// monitored request (the paper's 115.0 ms vs 100.9 ms plain delta).
   double connection_check_overhead_ms = 14.0;
@@ -153,8 +157,9 @@ struct WebExtensionConfig {
   /// place of the extension's private cache. Must outlive the extension.
   pki::ChainVerifier* shared_chain_cache = nullptr;
   /// Gateway mode: a shared VCEK cache with single-flight fetch
-  /// coalescing, replacing the private per-extension VCEK map (and making
-  /// cache_vcek irrelevant). Must outlive the extension.
+  /// coalescing, used in place of the extension's own one-shard VcekCache
+  /// (the VCEK lookup is the same get_or_fetch either way). Must outlive
+  /// the extension.
   VcekCache* shared_vcek_cache = nullptr;
   /// When set, every attestation verdict — accept or reject, blocking or
   /// staged path — is appended to this tamper-evident chain (measurement,
@@ -205,20 +210,21 @@ class WebExtension {
   Result<Verified> get(const std::string& domain, std::uint16_t port,
                        const std::string& path);
 
-  /// The attestation pipeline of fetch(), cut at its I/O boundaries so an
-  /// event-driven engine can run one stage per wake and park the session
-  /// between them. Stage order is fixed:
+  /// The extension's one attestation check sequence, cut at its I/O
+  /// boundaries so an event-driven engine can run one stage per wake and
+  /// park the session between them. Stage order is fixed:
   ///
   ///   handshake() -> fetch_evidence() -> fetch_kds() -> verify()
   ///     -> fetch_page(path)
   ///
-  /// Each stage returns Status: transport errors propagate with their
-  /// original code; failed *checks* return "extension.attestation_failed"
-  /// (fail closed, same as fetch()), with the step recorded in
-  /// checks().failure_step. Calling a stage out of order is a programming
-  /// error and returns "extension.stage_order". The checks sequence and
-  /// side effects (caches, DomainState, metrics) match the blocking path;
-  /// the only intended difference is that the page fetch happens *after*
+  /// fetch() runs the same object, entered past handshake() on the session
+  /// its page fetch opened, so blocking and staged verdicts cannot drift
+  /// apart. Each stage returns Status: transport errors propagate with
+  /// their original code; failed *checks* return
+  /// "extension.attestation_failed" (fail closed), with the step recorded
+  /// in checks().failure_step and in last_checks(). Calling a stage out of
+  /// order is a programming error and returns "extension.stage_order". The
+  /// only difference from fetch() is that the page fetch happens *after*
   /// verification, so it takes the monitoring path and pays
   /// connection_check_overhead_ms.
   ///
@@ -232,19 +238,20 @@ class WebExtension {
     /// Evidence fetch from the well-known URL + parse + REPORT_DATA
     /// binding check.
     Status fetch_evidence();
-    /// VCEK chain from the KDS via the shared single-flight cache (or the
-    /// private one), with retry x failover.
+    /// VCEK chain from the KDS through the VCEK cache (shared or the
+    /// extension's own), with retry x failover.
     Status fetch_kds();
-    /// Pure compute: chain walk, report signature, measurement policy, TLS
-    /// binding. Records the attested DomainState on success.
+    /// Pure compute: verify_prepare(), the report signature, then
+    /// verify_finish(). Records the attested DomainState on success.
     Status verify();
-    /// Batched alternative to verify(), split at the signature check.
-    /// verify_prepare() runs the chain walk, key/signature decode and
-    /// signed-body digest for THIS session and returns the triple a batch
-    /// verifier needs; the caller checks the signature out of line —
-    /// typically one crypto::ecdsa_verify_batch pass across many sessions
-    /// — and hands the verdict to verify_finish(), which applies the same
-    /// policy checks, verdict bookkeeping and state updates as verify().
+    /// verify() split at the signature check, for batching.
+    /// verify_prepare() runs the revocation and TCB-horizon gates, the
+    /// chain walk, key/signature decode and signed-body digest for THIS
+    /// session and returns the triple a batch verifier needs; the caller
+    /// checks the signature out of line — typically one
+    /// crypto::ecdsa_verify_batch pass across many sessions — and hands
+    /// the verdict to verify_finish(), which applies the TCB floor, the
+    /// measurement and TLS-binding policy and the verdict bookkeeping.
     /// A failed verify_prepare() is terminal exactly like a failed
     /// verify(); statuses and audit records are identical either way.
     Result<sevsnp::PreparedReportVerify> verify_prepare();
@@ -262,6 +269,17 @@ class WebExtension {
     StagedAttestation(WebExtension& ext, std::string domain,
                       std::uint16_t port)
         : ext_(&ext), domain_(std::move(domain)), port_(port) {}
+    /// fetch()'s entry: past the handshake, on the session (key) and
+    /// deadline of its page fetch.
+    StagedAttestation(WebExtension& ext, std::string domain,
+                      std::uint16_t port, Bytes session_key,
+                      net::Deadline deadline)
+        : ext_(&ext),
+          domain_(std::move(domain)),
+          port_(port),
+          next_(Stage::kEvidence),
+          deadline_(deadline),
+          session_key_(std::move(session_key)) {}
 
     enum class Stage : std::uint8_t {
       kHandshake,
@@ -272,6 +290,18 @@ class WebExtension {
       kDone,
     };
     Status wrong_stage(const char* want) const;
+    /// Bodies of verify_prepare() / verify_finish(). `report_span` is
+    /// verify()'s sevsnp.report_verify span, opened once the gates pass and
+    /// closed with the report verdict; null on the batch path, whose
+    /// reports share one sevsnp.batch_signature_verify span.
+    Result<sevsnp::PreparedReportVerify> prepare(
+        std::optional<obs::Span>* report_span);
+    Status finish(bool signature_ok, std::optional<obs::Span>* report_span);
+    /// Every terminal verdict, accept or reject, from any stage: audit
+    /// record + flight event, the DomainState last_checks() shows, the
+    /// ext.attest.result.count counter, and on reject the
+    /// "extension.attestation_failed" error.
+    Status conclude(bool accepted);
 
     WebExtension* ext_;
     std::string domain_;
@@ -318,67 +348,37 @@ class WebExtension {
     AttestationChecks checks;
   };
 
-  /// Emits the "ext.attest" span + ext.attest.result.count counter around
-  /// attest_impl, which holds the actual check sequence.
-  Result<AttestationChecks> attest(const std::string& domain,
-                                   std::uint16_t port,
-                                   const Bytes& session_key,
-                                   const net::Deadline& deadline);
-  Result<AttestationChecks> attest_impl(const std::string& domain,
-                                        std::uint16_t port,
-                                        const Bytes& session_key,
-                                        const net::Deadline& deadline);
   Result<KdsService::VcekResponse> fetch_vcek(const sevsnp::ChipId& chip,
                                               sevsnp::TcbVersion tcb,
                                               const net::Deadline& deadline);
-  /// Shared stage bodies (blocking attest_impl and StagedAttestation both
-  /// call these, so check order and side effects cannot drift apart).
-  /// Fetches + parses the evidence and checks the REPORT_DATA binding;
-  /// on failure `checks` carries the step and the optional is empty.
-  std::optional<EvidenceBundle> stage_evidence(const std::string& domain,
-                                               std::uint16_t port,
-                                               const net::Deadline& deadline,
-                                               AttestationChecks& checks);
   /// Fail-closed revocation gate (config_.revocation_set): true when no
   /// identity in the evidence is revoked (or no set is configured). Runs
-  /// before any signature work on every verify path.
+  /// in verify_prepare(), before any signature work.
   bool check_revocation(const EvidenceBundle& bundle,
                         const KdsService::VcekResponse& kds,
                         AttestationChecks& checks);
   /// Fail-closed fleet TCB-horizon gate (config_.tcb_horizon): true when
   /// the report's TCB is acceptable for its chip at the current virtual
   /// instant (or no horizon set is configured). Runs next to the
-  /// revocation gate, before any signature work, on every verify path.
+  /// revocation gate, before any signature work.
   bool check_tcb_horizon(const EvidenceBundle& bundle,
                          AttestationChecks& checks);
-  /// Chain/signature/measurement/TLS-binding checks; records the attested
-  /// DomainState and returns true iff everything passed.
-  bool stage_verify(const std::string& domain, const EvidenceBundle& bundle,
-                    const KdsService::VcekResponse& kds,
-                    const Bytes& session_key, AttestationChecks& checks);
-  /// Maps a (split or blocking) report-verify Status onto the checks
-  /// struct: chain failures vs report_verify failures, exactly as the
-  /// blocking path has always classified them. True iff st is ok.
-  static bool apply_verify_status(const Status& st,
-                                  AttestationChecks& checks);
-  /// Post-signature policy: measurement pin/registry, TLS binding, and the
-  /// attested DomainState write. Shared by stage_verify and the batch
-  /// path's verify_finish.
+  /// Post-signature policy (verify_finish): measurement pin/registry and
+  /// TLS binding. True iff both pass.
   bool verify_policy(const std::string& domain, const EvidenceBundle& bundle,
                      const Bytes& session_key, AttestationChecks& checks);
-  /// Emits the ext.attest.result.count counter (shared by both paths).
-  static void note_attest_result(const std::string& result);
-  /// Terminal-verdict bookkeeping shared by both paths: a kVerdict flight
-  /// event, and — when config_.audit_log is set — an AuditRecord built
-  /// from whatever evidence the session got as far as gathering (`bundle`
-  /// and `kds` may be null when the corresponding fetch never succeeded).
-  /// The digest pointers let the batch path hand in evidence/chain hashes
-  /// it computed 8 sessions at a time (Sha256x8); null = hash inline.
+  /// Terminal-verdict record (StagedAttestation::conclude): a kVerdict
+  /// flight event, and — when config_.audit_log is set — an AuditRecord
+  /// built from whatever evidence the session got as far as gathering
+  /// (`bundle` and `kds` may be null when the corresponding fetch never
+  /// succeeded). The digest pointers let the batch path hand in
+  /// evidence/chain hashes it computed 8 sessions at a time (Sha256x8);
+  /// null = hash inline.
   void note_verdict(const AttestationChecks& checks,
                     const EvidenceBundle* bundle,
                     const KdsService::VcekResponse* kds, bool accepted,
-                    const crypto::Digest32* evidence_digest = nullptr,
-                    const crypto::Digest32* chain_digest = nullptr);
+                    const crypto::Digest32* evidence_digest,
+                    const crypto::Digest32* chain_digest);
 
   Browser* browser_;
   WebExtensionConfig config_;
@@ -393,8 +393,11 @@ class WebExtension {
   /// What report verification actually uses: config_.shared_chain_cache
   /// when provided, else chain_cache_.get().
   pki::ChainVerifier* chain_verifier_ = nullptr;
-  std::map<std::pair<Bytes, std::uint64_t>, KdsService::VcekResponse>
-      vcek_cache_;
+  /// One-shard VCEK cache, built only when no shared cache is configured.
+  std::unique_ptr<VcekCache> own_vcek_cache_;
+  /// What fetch_vcek actually uses: config_.shared_vcek_cache when
+  /// provided, else own_vcek_cache_.get().
+  VcekCache* vcek_cache_ = nullptr;
   std::uint64_t kds_fetches_ = 0;
   std::uint64_t vcek_cache_hits_ = 0;
   std::uint64_t attestations_ = 0;

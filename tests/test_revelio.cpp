@@ -942,5 +942,43 @@ TEST_F(ExtensionPathsFixture, ExpiredVcekChainAgreesAcrossPaths) {
   expect_paths_agree("chain", "snp.vcek_chain_invalid");
 }
 
+// A staged session that fails before verify() records its verdict for the
+// extension UI exactly like the blocking path does.
+TEST_F(ExtensionPathsFixture, StagedEvidenceAndKdsFailuresUpdateLastChecks) {
+  Browser browser = make_browser();
+  WebExtension extension(browser, extension_config());
+  extension.register_site(kDomain, site);
+
+  // REPORT_DATA covers a different payload than the one served.
+  const Bytes bound_payload = evidence.payload;
+  evidence.payload = to_bytes(std::string_view("some other key"));
+  auto unbound = extension.begin_session(kDomain, 443);
+  ASSERT_TRUE(unbound.handshake().ok());
+  const Status binding = unbound.fetch_evidence();
+  ASSERT_FALSE(binding.ok());
+  EXPECT_EQ(binding.error().code, "extension.attestation_failed");
+  const AttestationChecks* checks = extension.last_checks(kDomain);
+  ASSERT_NE(checks, nullptr);
+  EXPECT_EQ(checks->failure_step, "binding");
+  EXPECT_TRUE(checks->evidence_fetched);
+  EXPECT_FALSE(checks->binding_ok);
+
+  // Bound evidence again, but every KDS replica is down: the verdict must
+  // replace the previous one, not leave it standing.
+  evidence.payload = bound_payload;
+  network.close(kds_service.address());
+  auto no_kds = extension.begin_session(kDomain, 443);
+  ASSERT_TRUE(no_kds.handshake().ok());
+  ASSERT_TRUE(no_kds.fetch_evidence().ok());
+  const Status kds_down = no_kds.fetch_kds();
+  ASSERT_FALSE(kds_down.ok());
+  EXPECT_EQ(kds_down.error().code, "extension.attestation_failed");
+  checks = extension.last_checks(kDomain);
+  ASSERT_NE(checks, nullptr);
+  EXPECT_EQ(checks->failure_step, "kds_fetch");
+  EXPECT_TRUE(checks->binding_ok);
+  EXPECT_FALSE(checks->chain_ok);
+}
+
 }  // namespace
 }  // namespace revelio::core
