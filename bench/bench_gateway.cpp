@@ -72,8 +72,10 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "crypto/cpu_features.hpp"
 #include "imagebuild/builder.hpp"
 #include "obs/audit_log.hpp"
 #include "obs/audit_store.hpp"
@@ -984,6 +986,16 @@ int run_gateway_bench(const char* out_path, const char* audit_path,
       static_cast<unsigned long long>(batch_calls),
       batch_digest_match ? "identical" : "DIVERGED");
 
+  // The host the numbers came from: core count, the crypto cores the CPU
+  // dispatch selected, and the build.
+  const std::string sha256 = crypto::cpu_has_sha_ni() ? "sha-ni" : "scalar";
+  const std::string aes = crypto::cpu_has_aes_ni() ? "aes-ni" : "scalar";
+  const std::string sha256x8 = crypto::cpu_has_avx2() ? "avx2" : "scalar";
+  const unsigned nproc = std::thread::hardware_concurrency();
+  std::printf("host: nproc %u, sha256 %s, aes %s, sha256x8 %s, %s %s\n",
+              nproc, sha256.c_str(), aes.c_str(), sha256x8.c_str(),
+              REVELIO_BENCH_COMPILER, REVELIO_BENCH_BUILD_TYPE);
+
   if (out_path == nullptr) return 0;
   std::string doc = "{\"worlds\":" + std::to_string(kWorlds) +
                     ",\"full_sessions_per_level\":" +
@@ -1026,6 +1038,11 @@ int run_gateway_bench(const char* out_path, const char* audit_path,
          std::to_string(restart.recovery_wal_frames) +
          ",\"recovery_truncated_tail\":" +
          (restart.recovery_truncated_tail ? "true" : "false") + "}";
+  doc += ",\"host\":{\"nproc\":" + std::to_string(nproc) +
+         ",\"isa\":{\"sha256\":\"" + sha256 + "\",\"aes\":\"" + aes +
+         "\",\"sha256x8\":\"" + sha256x8 + "\"}" +
+         ",\"compiler\":\"" REVELIO_BENCH_COMPILER "\"" +
+         ",\"build_type\":\"" REVELIO_BENCH_BUILD_TYPE "\"}";
   doc += "}";
   std::FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {

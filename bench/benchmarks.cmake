@@ -6,6 +6,10 @@
 function(revelio_bench name)
   add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cpp)
   target_link_libraries(${name} PRIVATE ${ARGN} benchmark::benchmark)
+  # Recorded in the host block of the bench's JSON output.
+  target_compile_definitions(${name} PRIVATE
+    REVELIO_BENCH_COMPILER="${CMAKE_CXX_COMPILER_ID} ${CMAKE_CXX_COMPILER_VERSION}"
+    REVELIO_BENCH_BUILD_TYPE="${CMAKE_BUILD_TYPE}")
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()

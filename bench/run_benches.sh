@@ -389,6 +389,14 @@ except json.JSONDecodeError as e:
 
 failures = []
 
+host = current.get("host")
+if host:
+    isa = host.get("isa", {})
+    print(f"bench_gateway host: nproc {host.get('nproc')}, "
+          f"sha256 {isa.get('sha256')}, aes {isa.get('aes')}, "
+          f"sha256x8 {isa.get('sha256x8')}, {host.get('compiler')} "
+          f"{host.get('build_type')}", file=sys.stderr)
+
 
 def key(level):
     return f"{level['mode']}/w{level['workers']}/n{level['sessions']}"

@@ -272,6 +272,7 @@ SessionEngine::StagedReport SessionEngine::run_staged(
   std::vector<StageResult> results;      // slot-parallel with `ready`
   std::vector<std::vector<std::size_t>> groups;  // ready slots, by track
   std::vector<std::size_t> batch_slots;  // ready slots routed to the hook
+  std::vector<std::size_t> part_ends;    // batch_slots end offset per part
   // Virtual completion time of the latest-finishing session, including its
   // final stage (which needs no wake and so never reaches the loop clock).
   double makespan_ms = 0.0;
@@ -430,10 +431,10 @@ SessionEngine::StagedReport SessionEngine::run_staged(
       }
     }
     // Batch-hook coalescing: a track group whose EVERY ready member is
-    // parked at the batch stage is subsumed whole into one cross-track
-    // batch task (its members run sequentially inside that task, so track
-    // isolation holds). Mixed groups keep per-session dispatch.
+    // parked at the batch stage is subsumed whole into the batched
+    // wavefront. Mixed groups keep per-session dispatch.
     batch_slots.clear();
+    part_ends.clear();
     if (batching.fn) {
       std::vector<std::size_t> subsumed;  // group indices fully at the stage
       std::size_t coalesced = 0;
@@ -449,7 +450,38 @@ SessionEngine::StagedReport SessionEngine::run_staged(
       }
       // Commit only when there is something to amortize; otherwise groups
       // stay untouched and everything dispatches per-session.
-      if (coalesced >= std::max<std::size_t>(batching.min_batch, 1)) {
+      const std::size_t min_batch =
+          std::max<std::size_t>(batching.min_batch, 1);
+      if (coalesced >= min_batch) {
+        // Cut the wavefront into parts, one pool task each, so the batch
+        // fn runs on every lane rather than one. A part is a contiguous run
+        // of whole groups (a group's sessions never run in two tasks, so
+        // track isolation holds), parts are balanced by session count, and
+        // the cut depends only on the ready list and the pool width.
+        const std::size_t parts = std::max<std::size_t>(
+            1, std::min({static_cast<std::size_t>(pool.width()),
+                         subsumed.size(), coalesced / min_batch}));
+        const auto size_of = [&](std::size_t k) {
+          return groups[subsumed[k]].size();
+        };
+        std::size_t k = 0;
+        std::size_t begin = 0;
+        for (std::size_t left = parts; left > 0; --left) {
+          const std::size_t rest = coalesced - begin;
+          std::size_t end = begin + size_of(k++);
+          // Take the next group while that brings the part closer to its
+          // fair share (rest / left) and leaves a group for every later
+          // part; the last part takes whatever remains.
+          while (k + left <= subsumed.size() &&
+                 (2 * (end - begin) + size_of(k)) * left < 2 * rest) {
+            end += size_of(k++);
+          }
+          part_ends.push_back(end);
+          report.max_stage_batch =
+              std::max(report.max_stage_batch, end - begin);
+          begin = end;
+        }
+        report.batch_calls += parts;
         std::vector<std::vector<std::size_t>> kept;
         kept.reserve(groups.size() - subsumed.size());
         std::size_t s = 0;
@@ -465,20 +497,22 @@ SessionEngine::StagedReport SessionEngine::run_staged(
         groups = std::move(kept);
       }
     }
-    const auto run_batch = [&]() {
+    const auto run_batch = [&](std::size_t part) {
+      const std::size_t first = part == 0 ? 0 : part_ends[part - 1];
+      const std::size_t count = part_ends[part] - first;
       const auto real_t0 = std::chrono::steady_clock::now();
-      // One observability scope for the whole batch: a single registry
-      // merged once, one tracer — the batch is one unit of work.
+      // One observability scope per part: a single registry merged once,
+      // one tracer — the part is one unit of work.
       obs::MetricsRegistry batch_metrics;
       obs::Tracer batch_tracer;
       batch_tracer.set_enabled(config_.trace_sessions);
-      std::vector<StagedBatchItem> items(batch_slots.size());
+      std::vector<StagedBatchItem> items(count);
       {
         obs::ScopedThreadTracer tracer_scope(batch_tracer);
         std::optional<obs::ScopedThreadMetrics> metrics_scope;
         if (config_.isolate_obs) metrics_scope.emplace(batch_metrics);
-        for (std::size_t k = 0; k < batch_slots.size(); ++k) {
-          const std::size_t i = ready[batch_slots[k]];
+        for (std::size_t k = 0; k < count; ++k) {
+          const std::size_t i = ready[batch_slots[first + k]];
           StagedContext& ctx = items[k].ctx;
           ctx.index = i;
           ctx.state = batching.stage;
@@ -498,10 +532,9 @@ SessionEngine::StagedReport SessionEngine::run_staged(
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - real_t0)
               .count();
-      const double share =
-          batch_real_ms / static_cast<double>(batch_slots.size());
-      for (std::size_t k = 0; k < batch_slots.size(); ++k) {
-        const std::size_t slot = batch_slots[k];
+      const double share = batch_real_ms / static_cast<double>(count);
+      for (std::size_t k = 0; k < count; ++k) {
+        const std::size_t slot = batch_slots[first + k];
         const std::size_t i = ready[slot];
         StageResult r;
         r.next = items[k].next;
@@ -517,26 +550,23 @@ SessionEngine::StagedReport SessionEngine::run_staged(
         results[slot] = std::move(r);
       }
     };
-    const std::size_t task_count =
-        groups.size() + (batch_slots.empty() ? 0 : 1);
+    // Parts go first: they are the longest tasks, so lanes claim them
+    // before the per-session groups.
+    const std::size_t parts = part_ends.size();
+    const std::size_t task_count = parts + groups.size();
     if (pool.width() <= 1 || task_count <= 1) {
-      if (!batch_slots.empty()) run_batch();
+      for (std::size_t p = 0; p < parts; ++p) run_batch(p);
       for (const auto& g : groups) {
         for (const std::size_t slot : g) run_stage(slot);
       }
     } else {
-      pool.for_tasks(task_count, [&](std::size_t gi) {
-        if (gi < groups.size()) {
-          for (const std::size_t slot : groups[gi]) run_stage(slot);
+      pool.for_tasks(task_count, [&](std::size_t t) {
+        if (t < parts) {
+          run_batch(t);
         } else {
-          run_batch();
+          for (const std::size_t slot : groups[t - parts]) run_stage(slot);
         }
       });
-    }
-    if (!batch_slots.empty()) {
-      ++report.batch_calls;
-      report.max_stage_batch =
-          std::max(report.max_stage_batch, batch_slots.size());
     }
 
     // 5. Post-pass on the driver thread, in ready order: advance the state

@@ -198,27 +198,35 @@ struct StagedBatchItem {
   SessionState next = SessionState::kFailed;
 };
 
-/// Runs one stage for a whole batch of sessions in a single pool task.
-/// Items arrive in deterministic ready order. The function must be pure
-/// compute plus shared-cache access — a batched stage cannot park
-/// mid-stage, and the engine records zero I/O wait for it.
+/// Runs one stage for one part of a batched wavefront, as one pool task.
+/// Items arrive in deterministic ready order and hold whole track groups
+/// only. Calls for other parts of the same wavefront may run concurrently
+/// on other lanes, so the function may share only thread-safe state with
+/// them. It must be pure compute plus shared-cache access — a batched
+/// stage cannot park mid-stage, and the engine records zero I/O wait for
+/// it.
 using StagedBatchFn = std::function<void(std::vector<StagedBatchItem>&)>;
 
-/// Opt-in batched dispatch for ONE stage of run_staged. When every ready
-/// session of a track group is parked at `stage`, the engine coalesces
-/// those groups — across tracks — into a single pool task and hands them
-/// to `fn` together instead of dispatching one stage per session. That is
-/// what lets the verify stage amortize one multi-scalar ECDSA pass and one
-/// multi-buffer hash walk over the whole wavefront. Track groups with any
-/// session at a different stage keep per-session dispatch, so sessions
-/// sharing a world replica still never run concurrently. Per-session
-/// verdicts, audit records, and the transcript digest are bit-identical to
-/// unbatched dispatch.
+/// Opt-in batched dispatch for ONE stage of run_staged. The track groups
+/// whose every ready session is parked at `stage` are coalesced across
+/// tracks into one wavefront; when it holds at least `min_batch` sessions
+/// the engine cuts it into min(pool width, groups, wavefront / min_batch)
+/// parts and hands each part to `fn` as its own pool task, instead of
+/// dispatching one stage per session. Parts are contiguous runs of whole
+/// groups in ready order, balanced by session count; the cut depends only
+/// on the ready list and the pool width, and at one worker the whole
+/// wavefront is one part. Each part amortizes one multi-scalar ECDSA pass
+/// and one multi-buffer hash walk over its sessions while the other parts
+/// run on the other lanes. Track groups with any session at a different
+/// stage keep per-session dispatch, so sessions sharing a world replica
+/// still never run concurrently. Per-session verdicts, audit records, and
+/// the transcript digest are bit-identical to unbatched dispatch.
 struct BatchStageConfig {
   SessionState stage = SessionState::kVerify;
   StagedBatchFn fn;           // empty = batching off
   /// Wavefronts smaller than this dispatch per-session (nothing to
-  /// amortize).
+  /// amortize); a wavefront is cut into at most wavefront / min_batch
+  /// parts.
   std::size_t min_batch = 2;
 };
 
@@ -354,8 +362,9 @@ class SessionEngine {
     };
     std::vector<StageBreakdown> stage_breakdown;
 
-    /// Batch-hook shape: invocations of the batch fn and the largest
-    /// wavefront it received (0 when no hook is installed).
+    /// Batch-hook shape: invocations of the batch fn (one per part, so a
+    /// wavefront split over W lanes counts W) and the largest part it
+    /// received (0 when no hook is installed).
     std::uint64_t batch_calls = 0;
     std::size_t max_stage_batch = 0;
 

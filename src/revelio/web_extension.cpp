@@ -1,5 +1,7 @@
 #include "revelio/web_extension.hpp"
 
+#include <algorithm>
+
 #include "crypto/ecdsa.hpp"
 #include "crypto/sha2.hpp"
 #include "fleet/tcb_horizon.hpp"
@@ -581,6 +583,7 @@ std::vector<Status> batch_verify_sessions(
   // signature batch.
   std::vector<crypto::EcdsaBatchItem> items;
   std::vector<std::size_t> slots;  // items[j] belongs to sessions[slots[j]]
+  std::vector<crypto::Curve::Point> pinned;  // distinct VCEKs pinned so far
   items.reserve(sessions.size());
   slots.reserve(sessions.size());
   for (std::size_t k = 0; k < sessions.size(); ++k) {
@@ -592,8 +595,17 @@ std::vector<Status> batch_verify_sessions(
       continue;
     }
     // The VCEK is a well-known base every session of this gateway verifies
-    // against — share its precomputed tables process-wide.
-    crypto::p384().pin_verify_tables(prep->vcek_pub);
+    // against — share its precomputed tables process-wide. A wavefront
+    // usually carries one or a few chips, so pin each distinct key once.
+    const crypto::Curve::Point& vcek = prep->vcek_pub;
+    const bool seen =
+        std::any_of(pinned.begin(), pinned.end(), [&](const auto& q) {
+          return q.infinity == vcek.infinity && q.x == vcek.x && q.y == vcek.y;
+        });
+    if (!seen) {
+      crypto::p384().pin_verify_tables(vcek);
+      pinned.push_back(vcek);
+    }
     crypto::EcdsaBatchItem item;
     item.pub = prep->vcek_pub;
     append(item.msg_hash, prep->digest.view());

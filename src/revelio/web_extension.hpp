@@ -403,12 +403,14 @@ class WebExtension {
   std::uint64_t attestations_ = 0;
 };
 
-/// Runs the verify stage for many staged sessions — typically the whole
-/// wavefront a SessionEngine batch dispatch hands over — in one pass:
-/// per-session verify_prepare, ONE crypto::ecdsa_verify_batch over every
-/// prepared signature (the per-signature offender fallback lives inside
-/// it), audit evidence/chain digests hashed eight sessions at a time, then
-/// per-session verify_finish. The returned statuses are slot-parallel with
+/// Runs the verify stage for many staged sessions — typically one part of
+/// a wavefront that a SessionEngine batch dispatch hands over, while other
+/// parts run in concurrent calls — in one pass: per-session
+/// verify_prepare (each distinct VCEK's verify tables pinned once), ONE
+/// crypto::ecdsa_verify_batch over every prepared signature (the
+/// per-signature offender fallback lives inside it), audit evidence/chain
+/// digests hashed eight sessions at a time, then per-session
+/// verify_finish. Concurrent calls must hold disjoint sessions. The returned statuses are slot-parallel with
 /// `sessions` and identical to what each session's own verify() would have
 /// produced; null entries are skipped and left as success.
 std::vector<Status> batch_verify_sessions(

@@ -10,9 +10,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "crypto/sha2.hpp"
 #include "imagebuild/builder.hpp"
 #include "obs/audit_log.hpp"
+#include "obs/metrics.hpp"
 #include "revelio/revelio_vm.hpp"
 #include "revelio/session_engine.hpp"
 #include "revelio/sp_node.hpp"
@@ -374,6 +377,9 @@ std::vector<std::unique_ptr<GatewayWorld>> build_worlds(std::size_t count,
 struct StagedBatchRun {
   SessionEngine::StagedReport report;
   int unverified_accepts = 0;
+  /// Distinct virtual instants at which the batch fn ran: the number of
+  /// verify wavefronts, however many parts each was cut into.
+  std::size_t verify_wavefronts = 0;
 };
 
 /// Staged driver with optional batched verify dispatch — the bench's
@@ -391,11 +397,21 @@ StagedBatchRun run_staged(SessionEngine& engine,
   };
   std::vector<Slot> slots(sessions);
   std::atomic<int> unverified{0};
+  std::mutex wavefront_mu;
+  std::set<std::int64_t> wavefront_us;
 
   BatchStageConfig batching;
   if (batch_verify) {
     batching.stage = SessionState::kVerify;
     batching.fn = [&](std::vector<StagedBatchItem>& items) {
+      {
+        // With no admission gates a session's accumulated virtual time is
+        // the loop instant it was dispatched at.
+        std::lock_guard<std::mutex> lock(wavefront_mu);
+        for (const auto& item : items) {
+          wavefront_us.insert(std::llround(item.ctx.total_virt_ms * 1000.0));
+        }
+      }
       // The engine hands over track groups it fully subsumed, so these
       // worlds have no other lane touching them; lock them all for the
       // duration of the one-pass verify.
@@ -494,7 +510,17 @@ StagedBatchRun run_staged(SessionEngine& engine,
       },
       {}, [&](std::size_t i) { return i % worlds.size(); }, batching);
   out.unverified_accepts = unverified.load();
+  out.verify_wavefronts = wavefront_us.size();
   return out;
+}
+
+/// Sum of a counter over all its label sets in the process registry.
+std::uint64_t counter_total(const std::string& name) {
+  std::uint64_t total = 0;
+  for (const auto& [key, counter] : obs::metrics().counters()) {
+    if (key.rfind(name, 0) == 0) total += counter.value();
+  }
+  return total;
 }
 
 TEST(BatchedStagedGateway, TranscriptMatchesUnbatchedBitForBit) {
@@ -553,6 +579,52 @@ TEST(BatchedStagedGateway, RejectionInsideBatchedWavefrontLandsInAuditChain) {
   ASSERT_TRUE(summary.ok());
   EXPECT_EQ(audit.records(), kSessions);
   EXPECT_EQ(summary->accepted, kSessions - 1);
+}
+
+TEST(BatchedStagedGateway, RejectionInsideSplitWavefrontLandsInAuditChain) {
+  // The four-worker twin of the test above. Eight worlds give eight track
+  // groups of two sessions, so each verify wavefront is cut into parts
+  // that run as separate pool tasks, each with its own metrics registry.
+  constexpr std::size_t kSessions = 16;
+  constexpr std::size_t kBad = 5;
+  SessionEngineConfig config;
+  config.workers = 4;
+  SessionEngine engine(config);
+  auto worlds = build_worlds(8, "batch-audit-split");
+  obs::AuditLog audit(/*checkpoint_interval=*/4);
+  const std::uint64_t attest0 = counter_total("ext.attest.result.count");
+  const std::uint64_t verify0 =
+      counter_total("sevsnp.report_verify.result.count");
+
+  const StagedBatchRun run = run_staged(engine, worlds, kSessions,
+                                        /*batch_verify=*/true, &audit, kBad);
+
+  EXPECT_GT(run.report.batch_calls, run.verify_wavefronts)
+      << "the wavefront really split";
+  EXPECT_EQ(run.report.succeeded, kSessions - 1);
+  EXPECT_EQ(run.report.failed, 1u);
+  EXPECT_EQ(run.unverified_accepts, 0);
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    if (i == kBad) {
+      ASSERT_FALSE(run.report.outcomes[i].ok());
+      EXPECT_EQ(run.report.outcomes[i].error().code,
+                "extension.attestation_failed");
+    } else {
+      EXPECT_TRUE(run.report.outcomes[i].ok()) << "session " << i;
+    }
+  }
+
+  const Bytes stream = audit.serialize();
+  const auto summary = obs::AuditLog::verify(stream);
+  ASSERT_TRUE(summary.ok());
+  EXPECT_EQ(audit.records(), kSessions);
+  EXPECT_EQ(summary->accepted, kSessions - 1);
+
+  // One verdict per session reached the process registry: every part's
+  // registry was merged, and merged once.
+  EXPECT_EQ(counter_total("ext.attest.result.count") - attest0, kSessions);
+  EXPECT_EQ(counter_total("sevsnp.report_verify.result.count") - verify0,
+            kSessions);
 }
 
 }  // namespace

@@ -996,6 +996,124 @@ TEST(StagedEngine, SameSeedRerunsAreBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
+// Batched wavefront partition: one batch stage spread over the pool
+
+/// What the batch fn received over one run.
+struct PartitionRun {
+  SessionEngine::StagedReport report;
+  /// Each batch-fn call's session indices, in the order the call got them.
+  /// Calls are sorted, so runs compare equal whichever lane claimed which.
+  std::vector<std::vector<std::size_t>> calls;
+};
+
+/// Every stage takes 1 ms of virtual time for every session, so all of them
+/// park at verify at the same instant: one verify wavefront per run. No
+/// crypto runs; the batch fn only records what it was handed.
+PartitionRun run_partition(unsigned workers, std::size_t sessions,
+                           const TrackFn& track, std::size_t min_batch) {
+  SessionEngineConfig config;
+  config.workers = workers;
+  config.isolate_obs = false;
+  SessionEngine engine(config);
+  PartitionRun out;
+  std::mutex mu;
+  BatchStageConfig batching;
+  batching.stage = SessionState::kVerify;
+  batching.min_batch = min_batch;
+  batching.fn = [&](std::vector<StagedBatchItem>& items) {
+    std::vector<std::size_t> call;
+    for (auto& item : items) {
+      call.push_back(item.ctx.index);
+      item.ctx.stage_virt_ms = 1.0;
+      item.next = SessionState::kPageFetch;
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    out.calls.push_back(std::move(call));
+  };
+  out.report = engine.run_staged(
+      sessions,
+      [](StagedContext& ctx) -> SessionState {
+        ctx.stage_virt_ms = 1.0;
+        switch (ctx.state) {
+          case SessionState::kHandshake: return SessionState::kEvidenceFetch;
+          case SessionState::kEvidenceFetch: return SessionState::kKdsFetch;
+          case SessionState::kKdsFetch: return SessionState::kVerify;
+          case SessionState::kPageFetch: return SessionState::kDone;
+          default:
+            ADD_FAILURE() << "verify must go through the batch fn";
+            return SessionState::kFailed;
+        }
+      },
+      {}, track, batching);
+  std::sort(out.calls.begin(), out.calls.end());
+  return out;
+}
+
+TEST(BatchedWavefront, SplitsAtTrackBoundariesIntoBalancedParts) {
+  struct Case {
+    const char* name;
+    unsigned workers;
+    std::size_t sessions;
+    std::size_t tracks;  // session i runs on track i % tracks
+    std::size_t min_batch;
+    std::size_t expected_calls;
+  };
+  const Case cases[] = {
+      {"one track each", 4, 64, 64, 2, 4},
+      {"uneven groups", 4, 64, 6, 2, 4},
+      {"min_batch caps", 4, 6, 6, 3, 2},
+      // The unsplit path: one call holding every member.
+      {"one worker", 1, 64, 64, 2, 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const TrackFn track = [&c](std::size_t i) { return i % c.tracks; };
+    const PartitionRun run =
+        run_partition(c.workers, c.sessions, track, c.min_batch);
+    EXPECT_EQ(run.report.succeeded, c.sessions);
+    ASSERT_EQ(run.calls.size(), c.expected_calls);
+
+    // The ready list is in (track, seq) order; the parts, taken in order,
+    // must be exactly that list cut into contiguous runs: disjoint, and
+    // together holding every session once.
+    std::vector<std::size_t> ready(c.sessions);
+    for (std::size_t i = 0; i < c.sessions; ++i) ready[i] = i;
+    std::stable_sort(ready.begin(), ready.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return track(a) < track(b);
+                     });
+    std::vector<std::size_t> joined;
+    std::size_t largest = 0;
+    std::size_t smallest = SIZE_MAX;
+    std::vector<std::size_t> part_of_track(c.tracks, SIZE_MAX);
+    for (std::size_t p = 0; p < run.calls.size(); ++p) {
+      const auto& call = run.calls[p];
+      joined.insert(joined.end(), call.begin(), call.end());
+      largest = std::max(largest, call.size());
+      smallest = std::min(smallest, call.size());
+      for (const std::size_t i : call) {
+        // Every track group lies inside one part.
+        std::size_t& owner = part_of_track[track(i)];
+        if (owner == SIZE_MAX) owner = p;
+        EXPECT_EQ(owner, p) << "track " << track(i) << " split";
+      }
+    }
+    EXPECT_EQ(joined, ready);
+
+    // Balanced by session count: sizes differ by at most one group.
+    const std::size_t group = (c.sessions + c.tracks - 1) / c.tracks;
+    EXPECT_LE(largest - smallest, group);
+
+    EXPECT_EQ(run.report.batch_calls, run.calls.size());
+    EXPECT_EQ(run.report.max_stage_batch, largest);
+
+    // The cut depends only on the ready list and the pool width.
+    EXPECT_EQ(run_partition(c.workers, c.sessions, track, c.min_batch).calls,
+              run.calls);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Staged engine end-to-end: real worlds, staged WebExtension sessions
 
 struct StagedGatewayRun {
