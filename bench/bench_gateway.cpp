@@ -1,14 +1,18 @@
-// Gateway load bench: the blocking lane model vs the event-driven staged
-// engine (revelio/session_engine.hpp), plus parked-session scale levels.
+// Gateway load bench: thread-per-session blocking clients vs the
+// event-driven staged engine (revelio/session_engine.hpp), plus
+// parked-session scale levels.
 //
 // Five families of levels, all over the same 64 identically-seeded world
 // replicas (KDS + attested VM + SP + browser; identical seeds make the
-// AMD certificates byte-identical, so worlds share the engine's VCEK and
-// chain caches):
+// AMD certificates byte-identical, so worlds share the VCEK and chain
+// caches):
 //
-//  - "blocking":  the legacy engine.run() path at 1 and 4 workers. A
-//    session holds its lane for its whole virtual duration, so the
-//    makespan is the heaviest lane's sum — the baseline this PR beats.
+//  - "blocking":  a thread-per-session client at 1 and 4 workers: each
+//    session is one ThreadPool task running a blocking WebExtension::get
+//    over standalone caches sized like the engine's. A session holds its
+//    lane for its whole virtual duration, so the makespan is the heaviest
+//    lane's sum (session i on lane i % workers) — the baseline the staged
+//    engine beats.
 //  - "staged":    the same 64 full-crypto sessions (fresh TLS handshake,
 //    staged attestation, verified page fetch) as state machines on the
 //    virtual-time event loop. Waits overlap in virtual time, so the
@@ -65,6 +69,8 @@
 //                 [--store-dir DIR] [--quick]
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstdio>
 #include <cstring>
@@ -75,12 +81,14 @@
 #include <thread>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "crypto/cpu_features.hpp"
 #include "imagebuild/builder.hpp"
 #include "obs/audit_log.hpp"
 #include "obs/audit_store.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "revelio/revelio_vm.hpp"
 #include "revelio/revocation.hpp"
 #include "revelio/session_engine.hpp"
@@ -193,9 +201,9 @@ struct GatewayWorld {
 // ---------------------------------------------------------------------------
 // Level result + JSON
 
-/// One bench level, normalized across the blocking and staged engines so
-/// run_benches.sh gates every mode with the same keys. Staged-only fields
-/// stay zero for blocking levels.
+/// One bench level, normalized across the blocking clients and the staged
+/// engine so run_benches.sh gates every mode with the same keys.
+/// Staged-only fields stay zero for blocking levels.
 struct Level {
   std::string mode;  // "blocking" | "staged" | "synthetic" | "chaos"
   unsigned workers = 0;
@@ -232,21 +240,6 @@ struct Level {
   std::size_t anomaly_dumps = 0;
   std::size_t recorder_bytes = 0;
 };
-
-void fill_from(Level& level, const core::SessionEngine::Report& r) {
-  level.sessions = r.sessions;
-  level.succeeded = r.succeeded;
-  level.failed = r.failed;
-  level.virt_makespan_ms = r.virt_makespan_ms;
-  level.sessions_per_virtual_sec = r.sessions_per_virtual_sec;
-  level.virt_p50_ms = r.virt_p50_ms;
-  level.virt_p95_ms = r.virt_p95_ms;
-  level.virt_p99_ms = r.virt_p99_ms;
-  level.real_elapsed_ms = r.real_elapsed_ms;
-  level.sessions_per_real_sec = r.sessions_per_real_sec;
-  level.chain_stats = r.chain_stats;
-  level.vcek_stats = r.vcek_stats;
-}
 
 void fill_from(Level& level, const core::SessionEngine::StagedReport& r) {
   level.sessions = r.sessions;
@@ -365,45 +358,103 @@ void print_level(const Level& level) {
 }
 
 // ---------------------------------------------------------------------------
-// Blocking levels (the legacy thread-per-session lane model)
+// Blocking levels (thread-per-session clients)
 
+/// Nearest-rank percentile over a sorted sample (q in (0, 1]).
+double percentile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(sorted.size())));
+  return sorted[std::min(sorted.size() - 1, rank == 0 ? 0 : rank - 1)];
+}
+
+/// Each session is one pool task running a blocking WebExtension::get end
+/// to end, holding its lane for its whole virtual duration. The makespan
+/// is a deterministic lane model: session i is charged to lane
+/// i % workers and lanes run in parallel, so the makespan is the heaviest
+/// lane's total — independent of which OS thread ran which task.
 Level run_blocking(std::vector<GatewayWorld*>& worlds, unsigned workers) {
-  core::SessionEngineConfig config;
-  config.workers = workers;
-  core::SessionEngine engine(config);
+  // Standalone caches sized like the engine's defaults.
+  const core::SessionEngineConfig sizes;
+  pki::ShardedChainCache chain_cache(sizes.chain_cache_shards,
+                                     sizes.chain_cache_capacity_per_shard);
+  core::VcekCache vcek_cache(sizes.vcek_cache_shards,
+                             sizes.vcek_cache_capacity_per_shard);
+  std::vector<Status> outcomes(kFullSessions, Status::success());
+  std::vector<double> virt_ms(kFullSessions, 0.0);
   std::atomic<int> unverified{0};
   const std::uint64_t kds_before =
       obs::metrics().counter_value("kds.fetch.count");
 
+  const auto session = [&](std::size_t i) -> Status {
+    GatewayWorld& world = *worlds[i % worlds.size()];
+    std::lock_guard<std::mutex> world_lock(world.mu);
+    ScopedClockCurrent clock_scope(world.clock);
+    const double virt_start = world.clock.now_ms();
+
+    world.browser.set_chain_cache(&chain_cache);
+    world.browser.drop_session(kDomain);
+    core::WebExtensionConfig ext_config;
+    ext_config.kds_address = {kKdsHost, 443};
+    ext_config.shared_chain_cache = &chain_cache;
+    ext_config.shared_vcek_cache = &vcek_cache;
+    core::WebExtension extension(world.browser, ext_config);
+    extension.register_site(kDomain, world.registration());
+
+    auto verified = extension.get(kDomain, 443, "/");
+    virt_ms[i] = world.clock.now_ms() - virt_start;
+    if (!verified.ok()) return verified.error();
+    if (!verified->checks.all_ok()) {
+      unverified.fetch_add(1);
+      return Error::make("bench.unverified_trust_accepted");
+    }
+    return Status::success();
+  };
+
+  const auto real_start = std::chrono::steady_clock::now();
+  common::ThreadPool pool(workers);
+  pool.for_tasks(kFullSessions, [&](std::size_t i) {
+    // Per-session observability, bound the way the engine binds it per
+    // dispatch: a private tracer (the process tracer is not thread-safe)
+    // and a private registry, folded into the process registry when the
+    // session ends.
+    obs::MetricsRegistry session_metrics;
+    obs::Tracer session_tracer;
+    {
+      obs::ScopedThreadTracer tracer_scope(session_tracer);
+      obs::ScopedThreadMetrics metrics_scope(session_metrics);
+      outcomes[i] = session(i);
+    }
+    obs::metrics().merge_from(session_metrics);
+  });
+
   Level level;
   level.mode = "blocking";
   level.workers = workers;
-  const auto report = engine.run(
-      kFullSessions, [&](core::SessionContext& ctx) -> Status {
-        GatewayWorld& world = *worlds[ctx.index % worlds.size()];
-        std::lock_guard<std::mutex> world_lock(world.mu);
-        ScopedClockCurrent clock_scope(world.clock);
-        const double virt_start = world.clock.now_ms();
-
-        world.browser.set_chain_cache(ctx.chain_cache);
-        world.browser.drop_session(kDomain);
-        core::WebExtensionConfig ext_config;
-        ext_config.kds_address = {kKdsHost, 443};
-        ext_config.shared_chain_cache = ctx.chain_cache;
-        ext_config.shared_vcek_cache = ctx.vcek_cache;
-        core::WebExtension extension(world.browser, ext_config);
-        extension.register_site(kDomain, world.registration());
-
-        auto verified = extension.get(kDomain, 443, "/");
-        ctx.virt_ms = world.clock.now_ms() - virt_start;
-        if (!verified.ok()) return verified.error();
-        if (!verified->checks.all_ok()) {
-          unverified.fetch_add(1);
-          return Error::make("bench.unverified_trust_accepted");
-        }
-        return Status::success();
-      });
-  fill_from(level, report);
+  level.sessions = kFullSessions;
+  level.real_elapsed_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - real_start)
+                              .count();
+  if (level.real_elapsed_ms > 0.0) {
+    level.sessions_per_real_sec = static_cast<double>(kFullSessions) /
+                                  (level.real_elapsed_ms / 1000.0);
+  }
+  for (const auto& st : outcomes) ++(st.ok() ? level.succeeded : level.failed);
+  std::vector<double> lanes(std::min<std::size_t>(workers, kFullSessions), 0.0);
+  for (std::size_t i = 0; i < kFullSessions; ++i) {
+    lanes[i % lanes.size()] += virt_ms[i];
+  }
+  level.virt_makespan_ms = *std::max_element(lanes.begin(), lanes.end());
+  if (level.virt_makespan_ms > 0.0) {
+    level.sessions_per_virtual_sec = static_cast<double>(kFullSessions) /
+                                     (level.virt_makespan_ms / 1000.0);
+  }
+  std::sort(virt_ms.begin(), virt_ms.end());
+  level.virt_p50_ms = percentile(virt_ms, 0.50);
+  level.virt_p95_ms = percentile(virt_ms, 0.95);
+  level.virt_p99_ms = percentile(virt_ms, 0.99);
+  level.chain_stats = chain_cache.stats();
+  level.vcek_stats = vcek_cache.stats();
   level.unverified_accepts = unverified.load();
   level.kds_fetch_count_delta =
       obs::metrics().counter_value("kds.fetch.count") - kds_before;

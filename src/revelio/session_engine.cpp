@@ -55,83 +55,6 @@ unsigned SessionEngine::workers() const {
                               : config_.workers;
 }
 
-SessionEngine::Report SessionEngine::run(std::size_t sessions,
-                                         const SessionFn& fn) {
-  Report report;
-  report.sessions = sessions;
-  report.outcomes.assign(sessions, Status::success());
-  report.session_virt_ms.assign(sessions, 0.0);
-  if (sessions == 0) return report;
-
-  const auto real_start = std::chrono::steady_clock::now();
-  common::ThreadPool pool(workers());
-  pool.for_tasks(sessions, [&](std::size_t i) {
-    // Per-session observability: its own tracer always (the process
-    // tracer is not thread-safe), its own metrics registry when isolating.
-    obs::MetricsRegistry session_metrics;
-    obs::Tracer session_tracer;
-    session_tracer.set_enabled(config_.trace_sessions);
-    {
-      obs::ScopedThreadTracer tracer_scope(session_tracer);
-      std::optional<obs::ScopedThreadMetrics> metrics_scope;
-      if (config_.isolate_obs) metrics_scope.emplace(session_metrics);
-
-      SessionContext ctx;
-      ctx.index = i;
-      ctx.chain_cache = &chain_cache_;
-      ctx.vcek_cache = &vcek_cache_;
-      ctx.tracer = &session_tracer;
-      report.outcomes[i] = fn(ctx);
-      report.session_virt_ms[i] = ctx.virt_ms;
-    }
-    // Bindings restored: metrics() is the process registry again. Folding
-    // here — concurrently with other sessions ending — is the case the
-    // locked histogram merge exists for.
-    if (config_.isolate_obs && config_.merge_metrics) {
-      obs::metrics().merge_from(session_metrics);
-    }
-  });
-  const auto real_end = std::chrono::steady_clock::now();
-
-  report.real_elapsed_ms =
-      std::chrono::duration<double, std::milli>(real_end - real_start).count();
-  for (const auto& st : report.outcomes) {
-    if (st.ok()) {
-      ++report.succeeded;
-    } else {
-      ++report.failed;
-    }
-  }
-  if (report.real_elapsed_ms > 0.0) {
-    report.sessions_per_real_sec = static_cast<double>(sessions) /
-                                   (report.real_elapsed_ms / 1000.0);
-  }
-
-  // Virtual-time lane model: deterministic round-robin assignment (session
-  // i -> lane i % workers), independent of which OS thread actually ran
-  // which task. That keeps the makespan — and everything derived from it —
-  // reproducible run to run.
-  std::vector<double> lanes(std::min<std::size_t>(workers(), sessions), 0.0);
-  for (std::size_t i = 0; i < sessions; ++i) {
-    lanes[i % lanes.size()] += report.session_virt_ms[i];
-  }
-  report.virt_makespan_ms = *std::max_element(lanes.begin(), lanes.end());
-  if (report.virt_makespan_ms > 0.0) {
-    report.sessions_per_virtual_sec = static_cast<double>(sessions) /
-                                      (report.virt_makespan_ms / 1000.0);
-  }
-
-  std::vector<double> sorted = report.session_virt_ms;
-  std::sort(sorted.begin(), sorted.end());
-  report.virt_p50_ms = percentile(sorted, 0.50);
-  report.virt_p95_ms = percentile(sorted, 0.95);
-  report.virt_p99_ms = percentile(sorted, 0.99);
-
-  report.chain_stats = chain_cache_.stats();
-  report.vcek_stats = vcek_cache_.stats();
-  return report;
-}
-
 namespace {
 
 /// Which admission gate a stage passes through. 0 = ungated.
@@ -415,7 +338,7 @@ SessionEngine::StagedReport SessionEngine::run_staged(
                static_cast<std::uint32_t>(to_us(r.stage_virt_ms)),
                now_us + to_us(r.stage_virt_ms));
       }
-      if (config_.isolate_obs && config_.merge_metrics) {
+      if (config_.isolate_obs) {
         obs::metrics().merge_from(session_metrics);
       }
       results[slot] = std::move(r);
@@ -525,7 +448,7 @@ SessionEngine::StagedReport SessionEngine::run_staged(
         }
         batching.fn(items);
       }
-      if (config_.isolate_obs && config_.merge_metrics) {
+      if (config_.isolate_obs) {
         obs::metrics().merge_from(batch_metrics);
       }
       const double batch_real_ms =
