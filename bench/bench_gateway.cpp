@@ -233,7 +233,7 @@ struct Level {
   std::size_t max_stage_batch = 0;
   bool determinism_checked = false;
   bool deterministic = false;
-  pki::ChainVerificationCache::Stats chain_stats;
+  pki::ShardedChainCache::Stats chain_stats;
   core::VcekCache::Stats vcek_stats;
   /// Per-stage wait-vs-service attribution (staged levels only).
   std::vector<core::SessionEngine::StagedReport::StageBreakdown> stages;

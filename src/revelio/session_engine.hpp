@@ -321,7 +321,7 @@ class SessionEngine {
     /// included in engine_bytes.
     std::size_t recorder_bytes = 0;
 
-    pki::ChainVerificationCache::Stats chain_stats;
+    pki::ShardedChainCache::Stats chain_stats;
     VcekCache::Stats vcek_stats;
   };
 

@@ -20,7 +20,7 @@ Browser::Browser(net::Network& network, std::string client_host,
       client_host_(std::move(client_host)),
       trust_roots_(std::move(trust_roots)),
       entropy_(std::move(entropy)),
-      chain_cache_(std::make_unique<pki::ChainVerificationCache>()) {}
+      chain_cache_(std::make_unique<pki::ShardedChainCache>(1, 64)) {}
 
 Result<net::TlsSession*> Browser::session_for(const std::string& domain,
                                               std::uint16_t port,
@@ -131,7 +131,7 @@ WebExtension::WebExtension(Browser& browser, WebExtensionConfig config)
       config_(std::move(config)),
       kds_failover_(kds_replicas(config_), config_.kds_breaker, "kds"),
       retry_jitter_(to_bytes("ext-retry-jitter"), to_bytes(browser.host())),
-      chain_cache_(std::make_unique<pki::ChainVerificationCache>()),
+      chain_cache_(std::make_unique<pki::ShardedChainCache>(1, 64)),
       chain_verifier_(config_.shared_chain_cache != nullptr
                           ? config_.shared_chain_cache
                           : static_cast<pki::ChainVerifier*>(

@@ -77,11 +77,6 @@ class Browser {
     external_chain_cache_ = cache;
   }
 
-  /// Handshake chain-verification cache stats (benchmarks read these).
-  pki::ChainVerificationCache::Stats chain_cache_stats() const {
-    return chain_cache_->stats();
-  }
-
  private:
   Result<net::TlsSession*> session_for(const std::string& domain,
                                        std::uint16_t port, bool& created);
@@ -93,7 +88,7 @@ class Browser {
   std::map<std::string, net::TlsSession> sessions_;
   /// Reconnects to a known server revalidate its chain from this cache
   /// (behind unique_ptr: the cache holds a mutex, Browser stays movable).
-  std::unique_ptr<pki::ChainVerificationCache> chain_cache_;
+  std::unique_ptr<pki::ShardedChainCache> chain_cache_;
   /// When set (set_chain_cache), used instead of chain_cache_.
   pki::ChainVerifier* external_chain_cache_ = nullptr;
   std::uint16_t next_port_ = 40000;
@@ -337,9 +332,6 @@ class WebExtension {
   std::uint64_t kds_fetches() const { return kds_fetches_; }
   std::uint64_t vcek_cache_hits() const { return vcek_cache_hits_; }
   std::uint64_t attestations_performed() const { return attestations_; }
-  pki::ChainVerificationCache::Stats chain_cache_stats() const {
-    return chain_cache_->stats();
-  }
 
  private:
   struct DomainState {
@@ -389,7 +381,7 @@ class WebExtension {
   std::map<std::string, SiteRegistration> sites_;
   std::map<std::string, DomainState> state_;
   /// Memoizes the ARK -> ASK -> VCEK chain walk across attestations.
-  std::unique_ptr<pki::ChainVerificationCache> chain_cache_;
+  std::unique_ptr<pki::ShardedChainCache> chain_cache_;
   /// What report verification actually uses: config_.shared_chain_cache
   /// when provided, else chain_cache_.get().
   pki::ChainVerifier* chain_verifier_ = nullptr;

@@ -316,7 +316,7 @@ TEST(Metrics, ChainCacheReportsToRegistry) {
   const auto ok0 =
       m.counter_value("pki.chain_verify.result.count", {{"result", "ok"}});
 
-  pki::ChainVerificationCache cache;
+  pki::ShardedChainCache cache(1, 64);
   pki::ChainVerifyOptions options;
   options.now_us = 1000;
   EXPECT_TRUE(cache

@@ -6,6 +6,8 @@
 #include "pki/ca.hpp"
 #include "pki/cert.hpp"
 #include "pki/chain_cache.hpp"
+#include "store/kv_store.hpp"
+#include "store/storage_env.hpp"
 
 namespace revelio::pki {
 namespace {
@@ -369,6 +371,8 @@ TEST_F(AcmeFixture, EmptyCsrRejected) {
 }
 
 // ------------------------------------------- chain verification cache
+//
+// One shard: the plain single-mutex LRU every private cache uses.
 
 struct ChainCacheFixture : PkiFixture {
   ChainVerifyOptions at(std::uint64_t now_us,
@@ -381,7 +385,7 @@ struct ChainCacheFixture : PkiFixture {
 };
 
 TEST_F(ChainCacheFixture, SecondVerificationIsAHit) {
-  ChainVerificationCache cache;
+  ShardedChainCache cache(1, 64);
   const auto leaf = issue_leaf("site.example", {"site.example"});
   const std::vector<Certificate> inters{inter.certificate()};
   const std::vector<Certificate> roots{root.certificate()};
@@ -394,7 +398,7 @@ TEST_F(ChainCacheFixture, SecondVerificationIsAHit) {
 }
 
 TEST_F(ChainCacheFixture, FailuresAreNeverCached) {
-  ChainVerificationCache cache;
+  ShardedChainCache cache(1, 64);
   const auto leaf = issue_leaf("site.example", {"site.example"});
   const std::vector<Certificate> roots{root.certificate()};
   // Missing intermediate: fails both times, and nothing is cached.
@@ -405,7 +409,7 @@ TEST_F(ChainCacheFixture, FailuresAreNeverCached) {
 }
 
 TEST_F(ChainCacheFixture, HitRespectsValidityWindow) {
-  ChainVerificationCache cache;
+  ShardedChainCache cache(1, 64);
   const auto leaf = issue_leaf("site.example", {"site.example"}, 0, kYearUs);
   const std::vector<Certificate> inters{inter.certificate()};
   const std::vector<Certificate> roots{root.certificate()};
@@ -418,7 +422,7 @@ TEST_F(ChainCacheFixture, HitRespectsValidityWindow) {
 }
 
 TEST_F(ChainCacheFixture, RotatedRootChangesTheKey) {
-  ChainVerificationCache cache;
+  ShardedChainCache cache(1, 64);
   HmacDrbg other_drbg(to_bytes(std::string_view("other-root")));
   auto other_root = CertificateAuthority::create_root(
       crypto::p384(), {"Other Root", "OtherOrg", "US"}, 0, 10 * kYearUs,
@@ -435,7 +439,7 @@ TEST_F(ChainCacheFixture, RotatedRootChangesTheKey) {
 }
 
 TEST_F(ChainCacheFixture, DnsConstraintIsPartOfTheKey) {
-  ChainVerificationCache cache;
+  ShardedChainCache cache(1, 64);
   const auto leaf = issue_leaf("site.example", {"site.example"});
   const std::vector<Certificate> inters{inter.certificate()};
   const std::vector<Certificate> roots{root.certificate()};
@@ -448,7 +452,7 @@ TEST_F(ChainCacheFixture, DnsConstraintIsPartOfTheKey) {
 }
 
 TEST_F(ChainCacheFixture, LruEvictionIsBounded) {
-  ChainVerificationCache cache(2);
+  ShardedChainCache cache(1, 2);
   const std::vector<Certificate> inters{inter.certificate()};
   const std::vector<Certificate> roots{root.certificate()};
   const auto a = issue_leaf("a.example", {"a.example"});
@@ -467,6 +471,37 @@ TEST_F(ChainCacheFixture, LruEvictionIsBounded) {
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 2u);    // a touched, a after the eviction round
   EXPECT_EQ(stats.misses, 4u);  // a, b, c, b re-verified
+}
+
+TEST_F(ChainCacheFixture, StoreReadThroughServesAPersistedWindow) {
+  store::MemStorageEnv env;
+  auto kv = store::KvStore::open(env);
+  ASSERT_TRUE(kv.ok());
+  const auto leaf = issue_leaf("site.example", {"site.example"});
+  const std::vector<Certificate> inters{inter.certificate()};
+  const std::vector<Certificate> roots{root.certificate()};
+  {
+    ShardedChainCache first(1, 4);
+    first.attach_store(kv->get());
+    EXPECT_TRUE(first.verify(leaf, inters, roots, at(1)).ok());
+    EXPECT_EQ(first.stats().store_hits, 0u);
+  }
+  // A fresh cache over the same store: the in-memory miss is served from
+  // the persisted window without re-verifying, then hits in memory.
+  ShardedChainCache cache(1, 4);
+  cache.attach_store(kv->get());
+  EXPECT_TRUE(cache.verify(leaf, inters, roots, at(2)).ok());
+  EXPECT_TRUE(cache.verify(leaf, inters, roots, at(3)).ok());
+  const auto stats = cache.shard_stats(0);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.store_hits, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(cache.shard_size(0), 1u);
+  // Past the leaf's expiry the persisted window is not honored.
+  ShardedChainCache late(1, 4);
+  late.attach_store(kv->get());
+  EXPECT_FALSE(late.verify(leaf, inters, roots, at(kYearUs + 1)).ok());
+  EXPECT_EQ(late.stats().store_hits, 0u);
 }
 
 }  // namespace

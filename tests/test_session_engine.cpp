@@ -297,10 +297,14 @@ TEST(ShardedChainCache, ConcurrentVerificationsAgreeAndHit) {
   // Cross-shard spread: 16 distinct chains across 4 shards must touch
   // more than one shard (SHA-256 keyed, astronomically unlikely not to).
   int populated = 0;
+  std::uint64_t shard_lookups = 0;
   for (std::size_t s = 0; s < cache.shard_count(); ++s) {
-    if (cache.shard(s).size() > 0) ++populated;
+    if (cache.shard_size(s) > 0) ++populated;
+    shard_lookups += cache.shard_stats(s).hits + cache.shard_stats(s).misses;
   }
   EXPECT_GT(populated, 1);
+  // The summed stats are exactly the per-shard counters added up.
+  EXPECT_EQ(shard_lookups, stats.hits + stats.misses);
 }
 
 TEST(ShardedChainCache, EvictionUnderContentionStaysCorrect) {
