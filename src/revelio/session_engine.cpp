@@ -141,8 +141,8 @@ SessionEngine::StagedReport SessionEngine::run_staged(
   obs::Gauge& queue_gauge = metrics.gauge("gw.admission.queue_depth");
   obs::Counter& park_counter = metrics.counter("gw.admission.park.count");
   obs::Counter& shed_counter = metrics.counter("gw.admission.shed.count");
-  // Log-bucketed summary, not a fixed-bucket histogram: gate-FIFO waits
-  // span microseconds to whole chaos timeouts, and the tail is the point.
+  // Log-bucketed: gate-FIFO waits span microseconds to whole chaos
+  // timeouts, and the tail is the point.
   obs::Summary& wake_summary = metrics.summary("gw.wake.latency.ms");
   std::vector<double> wake_latencies;
 

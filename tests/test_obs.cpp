@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/log.hpp"
 #include "common/sim_clock.hpp"
 #include "imagebuild/builder.hpp"
@@ -254,22 +256,25 @@ TEST(Metrics, LabelsRenderPrometheusStyle) {
   EXPECT_EQ(reg.counter_value("missing"), 0u);    // absent reads as zero
 }
 
-TEST(Metrics, HistogramBucketBoundaries) {
+TEST(Metrics, SummaryBucketBoundaries) {
+  using obs::Summary;
+  // A power of two opens a new log bucket; buckets split each power of
+  // two into kSubBuckets equal widths.
+  EXPECT_NE(Summary::bucket_of(1.0),
+            Summary::bucket_of(std::nextafter(1.0, 0.0)));
+  EXPECT_EQ(Summary::bucket_of(1.0), Summary::bucket_of(1.0 + 1.0 / 64));
+  EXPECT_NE(Summary::bucket_of(1.0), Summary::bucket_of(1.0 + 1.0 / 32));
+
   obs::MetricsRegistry reg;
-  auto& h = reg.histogram("lat", {1.0, 5.0, 10.0});
-  h.observe(0.5);   // <= 1
-  h.observe(1.0);   // boundary: still the first bucket (le semantics)
-  h.observe(1.001); // > 1, <= 5
-  h.observe(10.0);  // boundary of the last finite bucket
-  h.observe(10.5);  // +inf
-  const auto& counts = h.bucket_counts();
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0], 2u);
-  EXPECT_EQ(counts[1], 1u);
-  EXPECT_EQ(counts[2], 1u);
-  EXPECT_EQ(counts[3], 1u);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 23.001);
+  auto& s = reg.summary("lat");
+  for (const double v : {0.5, 1.0, 1.001, 10.0, 10.5}) s.observe(v);
+  EXPECT_EQ(s.count(), 5u);
+  EXPECT_DOUBLE_EQ(s.sum(), 23.001);
+  // The edges are exact; the median is its bucket's midpoint, within one
+  // bucket width of the observed 1.001.
+  EXPECT_DOUBLE_EQ(s.quantile(0.0), 0.5);
+  EXPECT_DOUBLE_EQ(s.quantile(1.0), 10.5);
+  EXPECT_NEAR(s.quantile(0.5), 1.001, 1.001 / Summary::kSubBuckets);
 }
 
 TEST(Metrics, RegistryJsonGolden) {
@@ -277,15 +282,16 @@ TEST(Metrics, RegistryJsonGolden) {
   reg.counter("a.count").inc(2);
   reg.counter("b.count", {{"r", "ok"}}).inc();
   reg.gauge("g").set(1.5);
-  auto& h = reg.histogram("h", {1.0, 2.0});
-  h.observe(0.5);
-  h.observe(3.0);
+  auto& s = reg.summary("s");
+  s.observe(0.5);
+  s.observe(3.0);
+  // p50 is the midpoint of 0.5's log bucket [0.5, 0.515625); the upper
+  // quantiles clamp to the observed max.
   EXPECT_EQ(reg.to_json(),
             "{\"counters\":{\"a.count\":2,\"b.count{r=ok}\":1},"
             "\"gauges\":{\"g\":1.5},"
-            "\"histograms\":{\"h\":{\"buckets\":["
-            "{\"le\":1,\"count\":1},{\"le\":2,\"count\":0},"
-            "{\"le\":\"+inf\",\"count\":1}],\"count\":2,\"sum\":3.5}}}");
+            "\"summaries\":{\"s\":{\"count\":2,\"sum\":3.5,\"min\":0.5,"
+            "\"max\":3,\"p50\":0.507812,\"p90\":3,\"p99\":3,\"p999\":3}}}");
 }
 
 TEST(Metrics, JsonEscaping) {

@@ -38,30 +38,33 @@ namespace {
 using crypto::HmacDrbg;
 
 // ---------------------------------------------------------------------------
-// Histogram / registry merge (the concurrent session-end bugfix)
+// Summary / registry merge (the concurrent session-end bugfix)
 
 TEST(MetricsMerge, SnapshotIsConsistentUnderConcurrentObserve) {
   obs::MetricsRegistry reg;
-  obs::Histogram& h = reg.histogram("gw.x.ms", {1.0, 10.0});
+  obs::Summary& summary = reg.summary("gw.x.ms");
   constexpr int kObservations = 200000;
-  std::thread writer([&h] {
-    for (int i = 0; i < kObservations; ++i) h.observe(3.0);
+  std::thread writer([&summary] {
+    for (int i = 0; i < kObservations; ++i) summary.observe(3.0);
   });
   // Every snapshot taken mid-write must be internally consistent: the
-  // bucket total, the count and the sum all describe the same instant.
+  // count, the sum and the quantiles all describe the same instant.
   for (int i = 0; i < 50; ++i) {
-    const obs::Histogram::Snapshot snap = h.snapshot();
-    std::uint64_t bucket_total = 0;
-    for (const auto c : snap.counts) bucket_total += c;
-    EXPECT_EQ(bucket_total, snap.count);
+    const obs::Summary::Snapshot snap = summary.snapshot();
     EXPECT_DOUBLE_EQ(snap.sum, 3.0 * static_cast<double>(snap.count));
+    if (snap.count > 0) {
+      EXPECT_DOUBLE_EQ(snap.min, 3.0);
+      EXPECT_DOUBLE_EQ(snap.p50, 3.0);
+      EXPECT_DOUBLE_EQ(snap.max, 3.0);
+    }
   }
   writer.join();
-  EXPECT_EQ(h.snapshot().count, static_cast<std::uint64_t>(kObservations));
+  EXPECT_EQ(summary.snapshot().count,
+            static_cast<std::uint64_t>(kObservations));
 }
 
 TEST(MetricsMerge, ConcurrentSessionEndLosesNoObservations) {
-  // The regression this PR fixes: merging per-session histograms into one
+  // The regression this guards: merging per-session summaries into one
   // registry from many threads at once (sessions ending together) while
   // other threads keep observing. Every observation must land exactly once.
   obs::MetricsRegistry global;
@@ -70,18 +73,17 @@ TEST(MetricsMerge, ConcurrentSessionEndLosesNoObservations) {
   constexpr int kDirect = 5000;
 
   std::thread direct_writer([&global] {
-    obs::Histogram& h = global.histogram("gw.session.virt.ms", {1.0, 10.0});
-    for (int i = 0; i < kDirect; ++i) h.observe(5.0);
+    obs::Summary& summary = global.summary("gw.session.virt.ms");
+    for (int i = 0; i < kDirect; ++i) summary.observe(5.0);
   });
   std::vector<std::thread> sessions;
   sessions.reserve(kSessions);
   for (int s = 0; s < kSessions; ++s) {
     sessions.emplace_back([&global] {
       obs::MetricsRegistry session;
-      obs::Histogram& h =
-          session.histogram("gw.session.virt.ms", {1.0, 10.0});
+      obs::Summary& summary = session.summary("gw.session.virt.ms");
       for (int i = 0; i < kPerSession; ++i) {
-        h.observe(static_cast<double>(i % 20));
+        summary.observe(static_cast<double>(i % 20));
       }
       session.counter("gw.sessions.count").inc();
       session.gauge("gw.last.ms").add(1.0);
@@ -91,49 +93,41 @@ TEST(MetricsMerge, ConcurrentSessionEndLosesNoObservations) {
   for (auto& t : sessions) t.join();
   direct_writer.join();
 
-  const obs::Histogram::Snapshot snap =
-      global.histograms().at("gw.session.virt.ms").snapshot();
+  const obs::Summary::Snapshot snap =
+      global.summaries().at("gw.session.virt.ms").snapshot();
   EXPECT_EQ(snap.count,
             static_cast<std::uint64_t>(kSessions * kPerSession + kDirect));
-  std::uint64_t bucket_total = 0;
-  for (const auto c : snap.counts) bucket_total += c;
-  EXPECT_EQ(bucket_total, snap.count);
+  // Integer-valued observations sum exactly: 8 sessions x 100 rounds of
+  // 0..19, plus the direct writer's 5000 x 5.
+  EXPECT_DOUBLE_EQ(snap.sum, 8.0 * 100.0 * 190.0 + 5000.0 * 5.0);
+  EXPECT_DOUBLE_EQ(snap.min, 0.0);
+  EXPECT_DOUBLE_EQ(snap.max, 19.0);
   EXPECT_EQ(global.counter_value("gw.sessions.count"),
             static_cast<std::uint64_t>(kSessions));
   EXPECT_DOUBLE_EQ(global.gauges().at("gw.last.ms").value(),
                    static_cast<double>(kSessions));
 }
 
-TEST(MetricsMerge, MismatchedBucketsFoldIntoOverflowKeepingTotalsExact) {
-  obs::MetricsRegistry a;
-  obs::MetricsRegistry b;
-  a.histogram("h", {10.0}).observe(2.0);
-  b.histogram("h", {1.0, 2.0}).observe(1.5);
-  b.histogram("h", {1.0, 2.0}).observe(100.0);
-  a.merge_from(b);
-  const obs::Histogram::Snapshot snap = a.histograms().at("h").snapshot();
-  EXPECT_EQ(snap.count, 3u);
-  EXPECT_DOUBLE_EQ(snap.sum, 103.5);
-  // a's own observation sits in its bucket; b's two observations (bounds
-  // differ) are parked in +inf rather than guessed into bins.
-  EXPECT_EQ(snap.counts[0], 1u);
-  EXPECT_EQ(snap.counts[1], 2u);
-}
-
 TEST(MetricsMerge, ThreadBindingIsolatesAndMergeFolds) {
   obs::MetricsRegistry session;
   obs::MetricsRegistry* global = &obs::metrics();
   const std::uint64_t before = global->counter_value("gw.bind.count");
+  const std::uint64_t observed_before =
+      global->summary("gw.bind.ms").count();
   {
     obs::ScopedThreadMetrics scope(session);
     EXPECT_EQ(&obs::metrics(), &session);
     obs::metrics().counter("gw.bind.count").inc(3);
+    obs::metrics().summary("gw.bind.ms").observe(2.5);
   }
   EXPECT_EQ(&obs::metrics(), global);
   EXPECT_EQ(global->counter_value("gw.bind.count"), before);
+  EXPECT_EQ(global->summary("gw.bind.ms").count(), observed_before);
   EXPECT_EQ(session.counter_value("gw.bind.count"), 3u);
+  EXPECT_EQ(session.summary("gw.bind.ms").count(), 1u);
   global->merge_from(session);
   EXPECT_EQ(global->counter_value("gw.bind.count"), before + 3);
+  EXPECT_EQ(global->summary("gw.bind.ms").count(), observed_before + 1);
 }
 
 // ---------------------------------------------------------------------------
