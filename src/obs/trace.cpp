@@ -21,8 +21,11 @@ std::string attrs_json(const SpanRecord& span) {
   std::string out = "{";
   for (std::size_t i = 0; i < span.attrs.size(); ++i) {
     if (i > 0) out += ",";
-    out += "\"" + json_escape(span.attrs[i].first) + "\":\"" +
-           json_escape(span.attrs[i].second) + "\"";
+    out += '"';
+    out += json_escape(span.attrs[i].first);
+    out += "\":\"";
+    out += json_escape(span.attrs[i].second);
+    out += '"';
   }
   out += "}";
   return out;
