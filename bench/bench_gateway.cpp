@@ -337,9 +337,9 @@ std::string level_json(const Level& level) {
            ",\"service_p99_ms\":" + obs::json_number(row.service_p99_ms) +
            ",\"wait_total_ms\":" + obs::json_number(row.wait_total_ms) +
            ",\"service_total_ms\":" + obs::json_number(row.service_total_ms) +
-           ",\"real_p50_ms\":" + obs::json_number(row.real_p50_ms) +
-           ",\"real_p99_ms\":" + obs::json_number(row.real_p99_ms) +
-           ",\"real_total_ms\":" + obs::json_number(row.real_total_ms) +
+           ",\"cpu_p50_ms\":" + obs::json_number(row.cpu_p50_ms) +
+           ",\"cpu_p99_ms\":" + obs::json_number(row.cpu_p99_ms) +
+           ",\"cpu_total_ms\":" + obs::json_number(row.cpu_total_ms) +
            ",\"batched\":" + std::to_string(row.batched) + "}";
   }
   out += "]";
@@ -991,25 +991,27 @@ int run_gateway_bench(const char* out_path, const char* audit_path,
   std::printf("staged vs blocking at 1 worker: %.1fx virtual throughput\n",
               staged_speedup_1w);
 
-  // Batched-verify gates: real CPU time spent in the verify stage (summed
-  // over both worker counts to damp scheduling noise), plus transcript
-  // parity — batching must not move a single virtual-time bit.
-  auto verify_real_total = [&](const char* mode) {
+  // Batched-verify gates: thread CPU time spent in the verify stage (summed
+  // over both worker counts), plus transcript parity — batching must not
+  // move a single virtual-time bit. CPU time, not wall time: at 4 workers
+  // an unbatched verify shares cores with concurrent handshakes, and its
+  // wall time would measure that contention instead of verify cost.
+  auto verify_cpu_total = [&](const char* mode) {
     double total = 0.0;
     for (const auto& level : levels) {
       if (level.mode != mode) continue;
       for (const auto& row : level.stages) {
         if (row.stage == core::SessionState::kVerify) {
-          total += row.real_total_ms;
+          total += row.cpu_total_ms;
         }
       }
     }
     return total;
   };
-  const double verify_real_staged = verify_real_total("staged");
-  const double verify_real_batch = verify_real_total("staged_batch");
+  const double verify_cpu_staged = verify_cpu_total("staged");
+  const double verify_cpu_batch = verify_cpu_total("staged_batch");
   const double batch_verify_speedup =
-      verify_real_batch > 0.0 ? verify_real_staged / verify_real_batch : 0.0;
+      verify_cpu_batch > 0.0 ? verify_cpu_staged / verify_cpu_batch : 0.0;
   // The bit-identical claim is gated on the single-worker pair: at one
   // worker the staged schedule is fully deterministic, so any digest delta
   // is the batch path's fault. At >1 workers WHICH session pays the
@@ -1031,9 +1033,9 @@ int run_gateway_bench(const char* out_path, const char* audit_path,
     }
   }
   std::printf(
-      "batched verify: %.2fx less real verify time (%.1fms -> %.1fms), "
+      "batched verify: %.2fx less verify CPU time (%.1fms -> %.1fms), "
       "%llu batch calls, transcripts %s\n",
-      batch_verify_speedup, verify_real_staged, verify_real_batch,
+      batch_verify_speedup, verify_cpu_staged, verify_cpu_batch,
       static_cast<unsigned long long>(batch_calls),
       batch_digest_match ? "identical" : "DIVERGED");
 
@@ -1056,8 +1058,8 @@ int run_gateway_bench(const char* out_path, const char* audit_path,
     doc += level_json(levels[i]);
   }
   doc += "],\"staged_speedup_1worker\":" + obs::json_number(staged_speedup_1w);
-  doc += ",\"verify_real_staged_ms\":" + obs::json_number(verify_real_staged) +
-         ",\"verify_real_batch_ms\":" + obs::json_number(verify_real_batch) +
+  doc += ",\"verify_cpu_staged_ms\":" + obs::json_number(verify_cpu_staged) +
+         ",\"verify_cpu_batch_ms\":" + obs::json_number(verify_cpu_batch) +
          ",\"batch_verify_speedup\":" + obs::json_number(batch_verify_speedup) +
          ",\"batch_calls\":" + std::to_string(batch_calls) +
          ",\"batch_digest_match\":" + (batch_digest_match ? "true" : "false");

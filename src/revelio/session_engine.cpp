@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <ctime>
 #include <deque>
 #include <optional>
 #include <unordered_map>
@@ -26,6 +27,16 @@ double percentile(const std::vector<double>& sorted, double q) {
   const std::size_t rank = static_cast<std::size_t>(
       std::ceil(q * static_cast<double>(sorted.size())));
   return sorted[std::min(sorted.size() - 1, rank == 0 ? 0 : rank - 1)];
+}
+
+/// CPU milliseconds the calling thread has run. Unlike wall time it does
+/// not grow while the thread waits for a core, so a stage's cost reads the
+/// same however many other stages share the machine.
+double thread_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
 }
 
 }  // namespace
@@ -88,9 +99,9 @@ struct StageResult {
   SessionState next = SessionState::kFailed;
   double stage_virt_ms = 0.0;
   double wait_ms = 0.0;
-  /// Wall-clock compute of this dispatch (an even share of the batch's
-  /// wall time when batched).
-  double real_ms = 0.0;
+  /// Thread CPU time of this dispatch (an even share of the part's CPU
+  /// time when batched).
+  double cpu_ms = 0.0;
   bool batched = false;
   Status failure = Status::success();
 };
@@ -171,10 +182,10 @@ SessionEngine::StagedReport SessionEngine::run_staged(
       static_cast<std::size_t>(SessionState::kDone);
   obs::Summary stage_wait[kStageCount];
   obs::Summary stage_service[kStageCount];
-  obs::Summary stage_real[kStageCount];
+  obs::Summary stage_cpu[kStageCount];
   double stage_wait_total[kStageCount] = {};
   double stage_service_total[kStageCount] = {};
-  double stage_real_total[kStageCount] = {};
+  double stage_cpu_total[kStageCount] = {};
   std::uint64_t stage_batched[kStageCount] = {};
 
   const auto finalize = [&](std::size_t i, SessionState state, Status st) {
@@ -325,11 +336,9 @@ SessionEngine::StagedReport SessionEngine::run_staged(
         ctx.total_virt_ms = c.total_virt_ms;
         flight(i, obs::FlightEventType::kStageEnter,
                static_cast<std::uint16_t>(c.next), 0, now_us);
-        const auto real_t0 = std::chrono::steady_clock::now();
+        const double cpu0 = thread_cpu_ms();
         r.next = fn(ctx);
-        r.real_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - real_t0)
-                        .count();
+        r.cpu_ms = thread_cpu_ms() - cpu0;
         r.stage_virt_ms = ctx.stage_virt_ms;
         r.failure = std::move(ctx.failure);
         r.wait_ms = waits.waited_ms();
@@ -423,7 +432,7 @@ SessionEngine::StagedReport SessionEngine::run_staged(
     const auto run_batch = [&](std::size_t part) {
       const std::size_t first = part == 0 ? 0 : part_ends[part - 1];
       const std::size_t count = part_ends[part] - first;
-      const auto real_t0 = std::chrono::steady_clock::now();
+      const double cpu0 = thread_cpu_ms();
       // One observability scope per part: a single registry merged once,
       // one tracer — the part is one unit of work.
       obs::MetricsRegistry batch_metrics;
@@ -451,11 +460,8 @@ SessionEngine::StagedReport SessionEngine::run_staged(
       if (config_.isolate_obs) {
         obs::metrics().merge_from(batch_metrics);
       }
-      const double batch_real_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - real_t0)
-              .count();
-      const double share = batch_real_ms / static_cast<double>(count);
+      const double share =
+          (thread_cpu_ms() - cpu0) / static_cast<double>(count);
       for (std::size_t k = 0; k < count; ++k) {
         const std::size_t slot = batch_slots[first + k];
         const std::size_t i = ready[slot];
@@ -464,7 +470,7 @@ SessionEngine::StagedReport SessionEngine::run_staged(
         r.stage_virt_ms = items[k].ctx.stage_virt_ms;
         r.failure = std::move(items[k].ctx.failure);
         r.wait_ms = 0.0;  // batched stages are pure compute by contract
-        r.real_ms = share;
+        r.cpu_ms = share;
         r.batched = true;
         flight(i, obs::FlightEventType::kStageExit,
                static_cast<std::uint16_t>(batching.stage),
@@ -509,8 +515,8 @@ SessionEngine::StagedReport SessionEngine::run_staged(
         stage_service[stage_idx].observe(r.stage_virt_ms - stage_wait_ms);
         stage_wait_total[stage_idx] += stage_wait_ms;
         stage_service_total[stage_idx] += r.stage_virt_ms - stage_wait_ms;
-        stage_real[stage_idx].observe(r.real_ms);
-        stage_real_total[stage_idx] += r.real_ms;
+        stage_cpu[stage_idx].observe(r.cpu_ms);
+        stage_cpu_total[stage_idx] += r.cpu_ms;
         if (r.batched) ++stage_batched[stage_idx];
       }
       if (r.next == SessionState::kDone || r.next == SessionState::kFailed) {
@@ -596,16 +602,16 @@ SessionEngine::StagedReport SessionEngine::run_staged(
     row.service_p99_ms = stage_service[s].quantile(0.99);
     row.wait_total_ms = stage_wait_total[s];
     row.service_total_ms = stage_service_total[s];
-    row.real_p50_ms = stage_real[s].quantile(0.50);
-    row.real_p99_ms = stage_real[s].quantile(0.99);
-    row.real_total_ms = stage_real_total[s];
+    row.cpu_p50_ms = stage_cpu[s].quantile(0.50);
+    row.cpu_p99_ms = stage_cpu[s].quantile(0.99);
+    row.cpu_total_ms = stage_cpu_total[s];
     row.batched = stage_batched[s];
     report.stage_breakdown.push_back(row);
     const obs::Labels labels = {{"stage", to_string(row.stage)}};
     metrics.summary("gw.stage.wait.ms", labels).merge_from(stage_wait[s]);
     metrics.summary("gw.stage.service.ms", labels)
         .merge_from(stage_service[s]);
-    metrics.summary("gw.stage.real.ms", labels).merge_from(stage_real[s]);
+    metrics.summary("gw.stage.cpu.ms", labels).merge_from(stage_cpu[s]);
   }
 
   // Dump-on-anomaly: failed/shed sessions first (their timelines answer

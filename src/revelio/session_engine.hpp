@@ -294,14 +294,17 @@ class SessionEngine {
       double service_p99_ms = 0.0;
       double wait_total_ms = 0.0;
       double service_total_ms = 0.0;
-      /// Measured wall-clock compute of the stage's dispatches — the cost
+      /// Measured thread CPU time of the stage's dispatches
+      /// (CLOCK_THREAD_CPUTIME_ID on the lane that ran them) — the cost
       /// the virtual clock cannot see (verify is pure compute and has zero
-      /// virtual time). Batched dispatches attribute their batch's wall
-      /// time evenly across members. Not deterministic; the batching gate
-      /// in bench_gateway compares it batched-vs-unbatched within one run.
-      double real_p50_ms = 0.0;
-      double real_p99_ms = 0.0;
-      double real_total_ms = 0.0;
+      /// virtual time), and unlike wall time not inflated by waiting for a
+      /// core. Batched dispatches attribute their part's CPU time evenly
+      /// across its members. Not deterministic; the batching gate in
+      /// bench_gateway compares it batched-vs-unbatched within one run.
+      /// Exported as the gw.stage.cpu.ms{stage=...} summary.
+      double cpu_p50_ms = 0.0;
+      double cpu_p99_ms = 0.0;
+      double cpu_total_ms = 0.0;
       /// Dispatches of this stage that went through the batch hook.
       std::uint64_t batched = 0;
     };
