@@ -28,18 +28,19 @@
 //    matters: zero unverified-trust acceptances while thousands of wakes
 //    interleave.
 //  - "staged_batch" (PR 8): the staged levels re-run with the engine's
-//    batched verify stage on — whole wavefronts of verify-ready sessions
-//    go to ecdsa_verify_batch in one pool task. The staged and
+//    batched verify stage on — each wavefront of verify-ready sessions
+//    goes to ecdsa_verify_batch in one part per worker. The staged and
 //    staged_batch pairs each run on their own fresh identically-seeded
 //    world sets so their transcript digests are comparable; the
 //    one-worker pair must match bit for bit (batch_digest_match), and
-//    the real verify-stage time ratio is exported as
+//    the verify-stage thread-CPU-time ratio is exported as
 //    batch_verify_speedup.
 //
 // Virtual-clock numbers are deterministic and gated by run_benches.sh
 // against bench/BENCH_gateway.baseline.json (chaos levels excepted: the
 // fault plan keys on absolute virtual time, which inherits real boot
-// timing). Real elapsed time is reported but never gated.
+// timing). Real elapsed time is reported but never gated; stage costs are
+// thread CPU time.
 //
 // PR 7 additions: a "recorder" level re-runs the largest quick-safe
 // synthetic level with every session carrying a flight-recorder ring

@@ -53,7 +53,7 @@
 # run of BM_Sha256/4096, since on SHA-NI hosts the dispatched
 # single-stream core is already hardware-accelerated. On the gateway
 # side, the "staged_batch" levels must pass the same succeed-all and
-# single-flight gates as "staged", cut real verify-stage time by >= 1.5x
+# single-flight gates as "staged", cut verify-stage thread CPU time by >= 1.5x
 # (batch_verify_speedup), actually coalesce work (batch_calls > 0), and
 # reproduce the unbatched transcript digest bit for bit at one worker
 # (batch_digest_match).
@@ -495,7 +495,7 @@ if speedup < MIN_STAGED_SPEEDUP:
 
 # Batched verify stage: the staged_batch levels hand whole wavefronts of
 # verify-ready sessions to the batch crypto layer in one pool task. The
-# batching must actually engage, must cut real verify-stage time, and must
+# batching must actually engage, must cut verify-stage CPU time, and must
 # leave the observable outcome untouched — the one-worker staged_batch
 # level reproduces the one-worker staged transcript digest bit for bit
 # (the 4-worker pair is excluded: which session wins the single-flight
