@@ -506,7 +506,7 @@ U384 ref_pow(const U384& a, const U384& e, const U384& m) {
 
 struct WidthCase {
   const char* name;
-  U384 m;  // prime, so Fermat inversion applies
+  U384 m;  // prime, so a^(m-2) is the inverse of a
   std::size_t limbs;
 };
 
@@ -523,7 +523,14 @@ std::vector<WidthCase> width_cases() {
        U384::from_hex("ffffffffffffffffffffffffffffffffffffffffffffffffffffffff"
                       "ffffffffffffffffffffff3b"),
        5},
+      {"2^64-59", U384::from_u64(0xffffffffffffffc5ULL), 1},
   };
+}
+
+U384 minus_u64(const U384& a, std::uint64_t v) {
+  U384 r;
+  sub_with_borrow(r, a, U384::from_u64(v));
+  return r;
 }
 
 TEST(MontCtxWidths, RunsAtTheModulusLimbCount) {
@@ -538,9 +545,8 @@ TEST(MontCtxWidths, FieldOpsMatchShiftSubtractReference) {
   for (const auto& c : width_cases()) {
     SCOPED_TRACE(c.name);
     const MontCtx ctx(c.m);
-    U384 m_minus_1;
-    sub_with_borrow(m_minus_1, c.m, U384::from_u64(1));
-    std::vector<U384> values = {U384::zero(), U384::from_u64(1), m_minus_1};
+    std::vector<U384> values = {U384::zero(), U384::from_u64(1),
+                                minus_u64(c.m, 1)};
     for (int i = 0; i < 8; ++i) {
       values.push_back(
           ref_reduce(widen(U384::from_bytes_be(drbg.generate(48))), c.m));
@@ -588,6 +594,153 @@ TEST(MontCtxWidths, PowMatchesReferenceAcrossWindowShapes) {
                 ref_pow(a, e, c.m).limbs)
           << "e bits " << e.bit_length();
     }
+  }
+}
+
+TEST(MontCtxWidths, InverseMatchesFermatReference) {
+  // inv must equal a^(m-2) mod m (computed by the shift-subtract reference)
+  // on the residues whose inverses are easy to get wrong: 1, 2, m-1 (its
+  // own inverse) and (m+1)/2 (the inverse of 2), and on 64 random draws.
+  // The draws share one ref_pow: with P the product of all of them,
+  // a_i^(m-2) = P^(m-2) * prod_{j != i} a_j, which keeps the bit-serial
+  // reference affordable.
+  HmacDrbg drbg(to_bytes(std::string_view("mont-widths-inv")));
+  for (const auto& c : width_cases()) {
+    SCOPED_TRACE(c.name);
+    const MontCtx ctx(c.m);
+    const U384 e = minus_u64(c.m, 2);
+    U384 half;  // (m + 1) / 2 = (m - 1) / 2 + 1 for odd m
+    const U384 m_minus_1 = minus_u64(c.m, 1);
+    for (std::size_t i = 0; i < U384::kLimbs; ++i) {
+      half.limbs[i] = m_minus_1.limbs[i] >> 1;
+      if (i + 1 < U384::kLimbs) half.limbs[i] |= m_minus_1.limbs[i + 1] << 63;
+    }
+    add_with_carry(half, half, U384::from_u64(1));
+    for (const U384& a : {U384::from_u64(1), U384::from_u64(2), m_minus_1,
+                          half}) {
+      EXPECT_EQ(ctx.from_mont(ctx.inv(ctx.to_mont(a))).limbs,
+                ref_pow(a, e, c.m).limbs);
+    }
+    EXPECT_EQ(ctx.from_mont(ctx.inv(ctx.to_mont(half))).limbs,
+              U384::from_u64(2).limbs);
+
+    std::vector<U384> draws;
+    std::vector<U384> prefix;  // prefix[i] = a_0 ... a_{i-1}
+    U384 product = U384::from_u64(1);
+    while (draws.size() < 64) {
+      const U384 a =
+          ref_reduce(widen(U384::from_bytes_be(drbg.generate(48))), c.m);
+      if (a.is_zero()) continue;
+      draws.push_back(a);
+      prefix.push_back(product);
+      product = ref_mul(product, a, c.m);
+    }
+    U384 suffix_inv = ref_pow(product, e, c.m);  // (a_0 ... a_i)^(m-2)
+    for (std::size_t i = draws.size(); i-- > 0;) {
+      const U384 want = ref_mul(suffix_inv, prefix[i], c.m);
+      EXPECT_EQ(ctx.from_mont(ctx.inv(ctx.to_mont(draws[i]))).limbs,
+                want.limbs)
+          << "draw " << i;
+      suffix_inv = ref_mul(suffix_inv, draws[i], c.m);
+    }
+  }
+}
+
+TEST(MontCtxWidths, InverseOfZeroIsZero) {
+  std::vector<U384> moduli = {U384::from_u64(3), U384::from_u64(13),
+                              U384::from_u64(1000003),
+                              U384::from_u64(0x3fffffffffebULL)};
+  for (const auto& c : width_cases()) moduli.push_back(c.m);
+  for (const U384& m : moduli) {
+    const MontCtx ctx(m);
+    EXPECT_TRUE(ctx.inv(U384::zero()).is_zero()) << m.bit_length();
+  }
+}
+
+TEST(MontCtxWidths, InverseAcrossSmallPrimes) {
+  // Moduli on both sides of the 46-bit switch in the divstep bound, plus
+  // tiny ones; every unit's inverse times itself must be one.
+  HmacDrbg drbg(to_bytes(std::string_view("mont-small-inv")));
+  for (const std::uint64_t m :
+       {3ULL, 13ULL, 101ULL, 65537ULL, 1000003ULL, 0x7fffffffULL,
+        0x1fffffffffc9ULL, 0x3fffffffffebULL, 0x1fffffffffffffffULL}) {
+    SCOPED_TRACE(m);
+    const MontCtx ctx(U384::from_u64(m));
+    std::vector<std::uint64_t> values = {1, 2, m - 1, (m + 1) / 2};
+    for (int i = 0; i < 32; ++i) {
+      const std::uint64_t v =
+          U384::from_bytes_be(drbg.generate(8)).limbs[0] % m;
+      if (v != 0) values.push_back(v);
+    }
+    for (const std::uint64_t v : values) {
+      const U384 inv = ctx.from_mont(ctx.inv(ctx.to_mont(U384::from_u64(v))));
+      EXPECT_EQ(static_cast<std::uint64_t>(
+                    static_cast<unsigned __int128>(inv.limbs[0]) * v % m),
+                1u)
+          << v;
+    }
+  }
+}
+
+TEST(MontCtxWidths, CarryEdgeOperands) {
+  // Operands at the top of the field: (m-1) + (m-1) carries out of the
+  // top limb whenever that limb is all ones (P-384 p, 2^64-59), and
+  // (m-1)^2 drives every CIOS row to its largest intermediate.
+  for (const auto& c : width_cases()) {
+    SCOPED_TRACE(c.name);
+    const MontCtx ctx(c.m);
+    Wide r{};  // R = 2^(64 n)
+    r[c.limbs] = 1;
+    const U384 r_mod_m = ref_reduce(r, c.m);
+    const U384 top = minus_u64(c.m, 1);
+    const std::vector<std::pair<U384, U384>> pairs = {
+        {top, top},
+        {top, U384::from_u64(1)},
+        {top, minus_u64(c.m, 2)},
+        {U384::zero(), top},
+        {U384::from_u64(1), top},
+    };
+    for (const auto& [a, b] : pairs) {
+      // mul(a, b) = a b R^-1, so mul(a, b) R == a b.
+      EXPECT_EQ(ref_mul(ctx.mul(a, b), r_mod_m, c.m).limbs,
+                ref_mul(a, b, c.m).limbs);
+      EXPECT_EQ(ctx.add(a, b).limbs, ref_reduce(wide_sum(a, b), c.m).limbs);
+      U384 neg_b;
+      sub_with_borrow(neg_b, c.m, b);
+      EXPECT_EQ(ctx.sub(a, b).limbs,
+                ref_reduce(wide_sum(a, neg_b), c.m).limbs);
+    }
+  }
+}
+
+TEST(U384, CarryHelpersMatchLimbwiseArithmetic) {
+  // add_with_carry / sub_with_borrow against a plain 128-bit limb loop, on
+  // draws biased towards all-ones and all-zero limbs.
+  HmacDrbg drbg(to_bytes(std::string_view("u384-carry")));
+  for (int trial = 0; trial < 200; ++trial) {
+    U384 a = U384::from_bytes_be(drbg.generate(48));
+    U384 b = U384::from_bytes_be(drbg.generate(48));
+    const Bytes mask = drbg.generate(U384::kLimbs);
+    for (std::size_t i = 0; i < U384::kLimbs; ++i) {
+      if (mask[i] & 1) a.limbs[i] = ~0ULL;
+      if (mask[i] & 2) b.limbs[i] = ~0ULL;
+      if (mask[i] & 4) b.limbs[i] = 0;
+    }
+    U384 sum, diff, want_sum, want_diff;
+    unsigned __int128 carry = 0, borrow = 0;
+    for (std::size_t i = 0; i < U384::kLimbs; ++i) {
+      carry += static_cast<unsigned __int128>(a.limbs[i]) + b.limbs[i];
+      want_sum.limbs[i] = static_cast<std::uint64_t>(carry);
+      carry >>= 64;
+      const unsigned __int128 d =
+          static_cast<unsigned __int128>(a.limbs[i]) - b.limbs[i] - borrow;
+      want_diff.limbs[i] = static_cast<std::uint64_t>(d);
+      borrow = (d >> 64) & 1;
+    }
+    EXPECT_EQ(add_with_carry(sum, a, b), static_cast<std::uint64_t>(carry));
+    EXPECT_EQ(sum.limbs, want_sum.limbs);
+    EXPECT_EQ(sub_with_borrow(diff, a, b), static_cast<std::uint64_t>(borrow));
+    EXPECT_EQ(diff.limbs, want_diff.limbs);
   }
 }
 
