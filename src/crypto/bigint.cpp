@@ -4,6 +4,10 @@
 
 #include "common/hex.hpp"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace revelio::crypto {
 
 using uint128 = unsigned __int128;
@@ -68,16 +72,49 @@ int U384::cmp(const U384& other) const {
 
 namespace {
 
+// One link of a carry chain: r = a + b + c_in (or a - b - c_in), returning
+// the carry (borrow) out. On x86-64 these are the ADC/SBB intrinsics, which
+// GCC keeps as one flag chain; the 128-bit sums elsewhere compile to
+// per-limb carry extraction instead.
+#if defined(__x86_64__)
+inline unsigned char addc(unsigned char c, std::uint64_t a, std::uint64_t b,
+                          std::uint64_t& r) {
+  unsigned long long out;
+  c = _addcarry_u64(c, a, b, &out);
+  r = out;
+  return c;
+}
+
+inline unsigned char subb(unsigned char c, std::uint64_t a, std::uint64_t b,
+                          std::uint64_t& r) {
+  unsigned long long out;
+  c = _subborrow_u64(c, a, b, &out);
+  r = out;
+  return c;
+}
+#else
+inline unsigned char addc(unsigned char c, std::uint64_t a, std::uint64_t b,
+                          std::uint64_t& r) {
+  const uint128 sum = static_cast<uint128>(a) + b + c;
+  r = static_cast<std::uint64_t>(sum);
+  return static_cast<unsigned char>(sum >> 64);
+}
+
+inline unsigned char subb(unsigned char c, std::uint64_t a, std::uint64_t b,
+                          std::uint64_t& r) {
+  const uint128 diff = static_cast<uint128>(a) - b - c;
+  r = static_cast<std::uint64_t>(diff);
+  return static_cast<unsigned char>((diff >> 64) & 1);
+}
+#endif  // __x86_64__
+
 // r = a + b over the low N limbs; returns the carry out.
 template <std::size_t N>
 std::uint64_t add_limbs(std::uint64_t* r, const std::uint64_t* a,
                         const std::uint64_t* b) {
-  std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < N; ++i) {
-    const uint128 sum = static_cast<uint128>(a[i]) + b[i] + carry;
-    r[i] = static_cast<std::uint64_t>(sum);
-    carry = static_cast<std::uint64_t>(sum >> 64);
-  }
+  unsigned char carry = 0;
+#pragma GCC unroll 6
+  for (std::size_t i = 0; i < N; ++i) carry = addc(carry, a[i], b[i], r[i]);
   return carry;
 }
 
@@ -85,14 +122,37 @@ std::uint64_t add_limbs(std::uint64_t* r, const std::uint64_t* a,
 template <std::size_t N>
 std::uint64_t sub_limbs(std::uint64_t* r, const std::uint64_t* a,
                         const std::uint64_t* b) {
-  std::uint64_t borrow = 0;
-  for (std::size_t i = 0; i < N; ++i) {
-    const uint128 diff = static_cast<uint128>(a[i]) -
-                         static_cast<uint128>(b[i]) - borrow;
-    r[i] = static_cast<std::uint64_t>(diff);
-    borrow = static_cast<std::uint64_t>((diff >> 64) & 1);
-  }
+  unsigned char borrow = 0;
+#pragma GCC unroll 6
+  for (std::size_t i = 0; i < N; ++i) borrow = subb(borrow, a[i], b[i], r[i]);
   return borrow;
+}
+
+// t[0 .. N+1] += x[0 .. N-1] * y. The word products stay 128-bit; their
+// low halves go in on one carry chain and their high halves, one limb up,
+// on a second, so each chain is a single run of ADCs.
+template <std::size_t N>
+inline void mul_add_row(std::uint64_t* t, const std::uint64_t* x,
+                        std::uint64_t y) {
+  std::uint64_t lo[N];
+  std::uint64_t hi[N];
+#pragma GCC unroll 6
+  for (std::size_t j = 0; j < N; ++j) {
+    const uint128 p = static_cast<uint128>(x[j]) * y;
+    lo[j] = static_cast<std::uint64_t>(p);
+    hi[j] = static_cast<std::uint64_t>(p >> 64);
+  }
+  unsigned char carry = 0;
+#pragma GCC unroll 6
+  for (std::size_t j = 0; j < N; ++j) carry = addc(carry, t[j], lo[j], t[j]);
+  carry = addc(carry, t[N], 0, t[N]);
+  addc(carry, t[N + 1], 0, t[N + 1]);
+  carry = 0;
+#pragma GCC unroll 6
+  for (std::size_t j = 0; j < N; ++j) {
+    carry = addc(carry, t[j + 1], hi[j], t[j + 1]);
+  }
+  addc(carry, t[N + 1], 0, t[N + 1]);
 }
 
 template <std::size_t N>
@@ -165,32 +225,12 @@ U384 MontCtx::mul_n(const MontCtx& c, const U384& a, const U384& b) {
 
 #pragma GCC unroll 6
   for (std::size_t i = 0; i < N; ++i) {
-    // t += a * b[i]
-    std::uint64_t carry = 0;
+    mul_add_row<N>(t, a.limbs.data(), b.limbs[i]);
+    // Reduce: add mu * m, which clears t[0], and shift one limb.
+    mul_add_row<N>(t, m, t[0] * c.n0_);
 #pragma GCC unroll 6
-    for (std::size_t j = 0; j < N; ++j) {
-      const uint128 cur =
-          static_cast<uint128>(a.limbs[j]) * b.limbs[i] + t[j] + carry;
-      t[j] = static_cast<std::uint64_t>(cur);
-      carry = static_cast<std::uint64_t>(cur >> 64);
-    }
-    uint128 cur = static_cast<uint128>(t[N]) + carry;
-    t[N] = static_cast<std::uint64_t>(cur);
-    t[N + 1] = static_cast<std::uint64_t>(cur >> 64);
-
-    // Reduce: add mu * m and shift one limb.
-    const std::uint64_t mu = t[0] * c.n0_;
-    cur = static_cast<uint128>(mu) * m[0] + t[0];
-    carry = static_cast<std::uint64_t>(cur >> 64);
-#pragma GCC unroll 6
-    for (std::size_t j = 1; j < N; ++j) {
-      cur = static_cast<uint128>(mu) * m[j] + t[j] + carry;
-      t[j - 1] = static_cast<std::uint64_t>(cur);
-      carry = static_cast<std::uint64_t>(cur >> 64);
-    }
-    cur = static_cast<uint128>(t[N]) + carry;
-    t[N - 1] = static_cast<std::uint64_t>(cur);
-    t[N] = t[N + 1] + static_cast<std::uint64_t>(cur >> 64);
+    for (std::size_t j = 0; j <= N; ++j) t[j] = t[j + 1];
+    t[N + 1] = 0;
   }
 
   // t < 2m: subtract m once unless that borrows out of t's N + 1 limbs.
