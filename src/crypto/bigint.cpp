@@ -155,6 +155,164 @@ inline void mul_add_row(std::uint64_t* t, const std::uint64_t* x,
   addc(carry, t[N + 1], 0, t[N + 1]);
 }
 
+// --- Constant-time inversion: Bernstein-Yang safegcd ----------------------
+//
+// "Fast constant-time gcd computation and modular inversion" (TCHES 2019),
+// laid out like libsecp256k1's modinv64 (MIT): numbers live in signed
+// 62-bit limbs; divsteps run in batches of 62 on the low limbs of f and g
+// alone, and each batch's 2x2 transition matrix, scaled by 2^62, is then
+// applied to the full (f, g) exactly and to (d, e) modulo m.
+
+using int128 = __int128;
+using Signed62 = std::array<std::int64_t, 7>;
+constexpr std::uint64_t kMask62 = ~std::uint64_t{0} >> 2;
+
+struct Transition {
+  std::int64_t u, v, q, r;
+};
+
+// 62 divsteps on the low 62 bits of f (odd) and g, starting from
+// eta = -delta. Afterwards u f0 + v g0 = 2^62 f and q f0 + r g0 = 2^62 g,
+// and |u| + |v|, |q| + |r| <= 2^62. Every choice is a mask, so the
+// instruction sequence does not depend on f or g.
+std::uint64_t divsteps_62(std::uint64_t eta, std::uint64_t f, std::uint64_t g,
+                          Transition& t) {
+  std::uint64_t u = 1, v = 0, q = 0, r = 1;
+  for (int i = 0; i < 62; ++i) {
+    const std::uint64_t delta_pos = 0 - (eta >> 63);
+    const std::uint64_t g_odd = 0 - (g & 1);
+    // If g is odd: g-row -= f-row when delta > 0, else g-row += f-row.
+    g += ((f ^ delta_pos) - delta_pos) & g_odd;
+    q += ((u ^ delta_pos) - delta_pos) & g_odd;
+    r += ((v ^ delta_pos) - delta_pos) & g_odd;
+    // On a swap (delta > 0, g odd) f-row += (g - f)-row makes it the old
+    // g-row, and delta becomes 1 - delta; otherwise delta becomes 1 + delta.
+    const std::uint64_t swap = delta_pos & g_odd;
+    eta = ((eta ^ swap) - swap) - 1;
+    f += g & swap;
+    u += q & swap;
+    v += r & swap;
+    g >>= 1;
+    u <<= 1;
+    v <<= 1;
+  }
+  t = {static_cast<std::int64_t>(u), static_cast<std::int64_t>(v),
+       static_cast<std::int64_t>(q), static_cast<std::int64_t>(r)};
+  return eta;
+}
+
+// (f, g) <- t (f, g) / 2^62; the division is exact.
+void update_fg(Signed62& f, Signed62& g, const Transition& t,
+               std::size_t len) {
+  int128 cf = static_cast<int128>(t.u) * f[0] + static_cast<int128>(t.v) * g[0];
+  int128 cg = static_cast<int128>(t.q) * f[0] + static_cast<int128>(t.r) * g[0];
+  cf >>= 62;
+  cg >>= 62;
+  for (std::size_t i = 1; i < len; ++i) {
+    cf += static_cast<int128>(t.u) * f[i] + static_cast<int128>(t.v) * g[i];
+    cg += static_cast<int128>(t.q) * f[i] + static_cast<int128>(t.r) * g[i];
+    f[i - 1] = static_cast<std::int64_t>(static_cast<std::uint64_t>(cf) &
+                                         kMask62);
+    g[i - 1] = static_cast<std::int64_t>(static_cast<std::uint64_t>(cg) &
+                                         kMask62);
+    cf >>= 62;
+    cg >>= 62;
+  }
+  f[len - 1] = static_cast<std::int64_t>(cf);
+  g[len - 1] = static_cast<std::int64_t>(cg);
+}
+
+// (d, e) <- t (d, e) / 2^62 mod m, adding the multiples of m that clear the
+// low 62 bits. Inputs in (-2m, m) give outputs in (-2m, m).
+void update_de(Signed62& d, Signed62& e, const Transition& t,
+               const Signed62& m, std::uint64_t m_inv62, std::size_t len) {
+  // Start from u (or q) times m if d < 0, plus v (or r) times m if e < 0.
+  const std::uint64_t d_neg =
+      0 - (static_cast<std::uint64_t>(d[len - 1]) >> 63);
+  const std::uint64_t e_neg =
+      0 - (static_cast<std::uint64_t>(e[len - 1]) >> 63);
+  std::uint64_t md = (static_cast<std::uint64_t>(t.u) & d_neg) +
+                     (static_cast<std::uint64_t>(t.v) & e_neg);
+  std::uint64_t me = (static_cast<std::uint64_t>(t.q) & d_neg) +
+                     (static_cast<std::uint64_t>(t.r) & e_neg);
+  int128 cd = static_cast<int128>(t.u) * d[0] + static_cast<int128>(t.v) * e[0];
+  int128 ce = static_cast<int128>(t.q) * d[0] + static_cast<int128>(t.r) * e[0];
+  md -= (m_inv62 * static_cast<std::uint64_t>(cd) + md) & kMask62;
+  me -= (m_inv62 * static_cast<std::uint64_t>(ce) + me) & kMask62;
+  const auto md_s = static_cast<std::int64_t>(md);
+  const auto me_s = static_cast<std::int64_t>(me);
+  cd += static_cast<int128>(m[0]) * md_s;
+  ce += static_cast<int128>(m[0]) * me_s;
+  cd >>= 62;
+  ce >>= 62;
+  for (std::size_t i = 1; i < len; ++i) {
+    cd += static_cast<int128>(t.u) * d[i] + static_cast<int128>(t.v) * e[i] +
+          static_cast<int128>(m[i]) * md_s;
+    ce += static_cast<int128>(t.q) * d[i] + static_cast<int128>(t.r) * e[i] +
+          static_cast<int128>(m[i]) * me_s;
+    d[i - 1] = static_cast<std::int64_t>(static_cast<std::uint64_t>(cd) &
+                                         kMask62);
+    e[i - 1] = static_cast<std::int64_t>(static_cast<std::uint64_t>(ce) &
+                                         kMask62);
+    cd >>= 62;
+    ce >>= 62;
+  }
+  d[len - 1] = static_cast<std::int64_t>(cd);
+  e[len - 1] = static_cast<std::int64_t>(ce);
+}
+
+// Arithmetic right shift by 62 of a two's-complement limb.
+std::uint64_t sar62(std::uint64_t x) { return (x >> 62) - ((x >> 63) << 2); }
+
+// Maps d in (-2m, m) to d mod m in [0, m), negated first if sign < 0, as a
+// plain U384.
+U384 normalize(const Signed62& d, std::int64_t sign, const Signed62& m,
+               std::size_t len) {
+  std::array<std::uint64_t, 7> x{};
+  for (std::size_t i = 0; i < len; ++i) x[i] = static_cast<std::uint64_t>(d[i]);
+  const auto add_m_if_negative = [&] {
+    const std::uint64_t neg = 0 - (x[len - 1] >> 63);
+    for (std::size_t i = 0; i < len; ++i) {
+      x[i] += static_cast<std::uint64_t>(m[i]) & neg;
+    }
+  };
+  const auto carry_limbs = [&] {
+    for (std::size_t i = 0; i + 1 < len; ++i) {
+      x[i + 1] += sar62(x[i]);
+      x[i] &= kMask62;
+    }
+  };
+  add_m_if_negative();  // (-2m, m) -> (-m, m)
+  const std::uint64_t flip = 0 - (static_cast<std::uint64_t>(sign) >> 63);
+  for (std::size_t i = 0; i < len; ++i) x[i] = (x[i] ^ flip) - flip;
+  carry_limbs();
+  add_m_if_negative();  // (-m, m) -> [0, m)
+  carry_limbs();
+
+  U384 out;
+  for (std::size_t i = 0; i < len; ++i) {
+    const std::size_t bit = 62 * i;
+    const std::size_t w = bit / 64;
+    const std::size_t s = bit % 64;
+    if (w < U384::kLimbs) out.limbs[w] |= x[i] << s;
+    if (s > 2 && w + 1 < U384::kLimbs) out.limbs[w + 1] |= x[i] >> (64 - s);
+  }
+  return out;
+}
+
+Signed62 to_signed62(const U384& a, std::size_t len) {
+  Signed62 out{};
+  for (std::size_t i = 0; i < len; ++i) {
+    const std::size_t bit = 62 * i;
+    const std::size_t w = bit / 64;
+    const std::size_t s = bit % 64;
+    std::uint64_t v = w < U384::kLimbs ? a.limbs[w] >> s : 0;
+    if (s > 2 && w + 1 < U384::kLimbs) v |= a.limbs[w + 1] << (64 - s);
+    out[i] = static_cast<std::int64_t>(v & kMask62);
+  }
+  return out;
+}
+
 template <std::size_t N>
 bool zero_above(const U384& a) {
   for (std::size_t i = N; i < U384::kLimbs; ++i) {
@@ -213,6 +371,16 @@ MontCtx::MontCtx(const U384& modulus)
   one_ = t;
   for (std::size_t i = 0; i < 64 * n_; ++i) mod_double(t);
   r2_ = t;
+  r3_ = mul(r2_, r2_);
+
+  // safegcd setup. Theorem 11.2 of Bernstein-Yang bounds the divsteps that
+  // take any 0 <= g < m to g = 0 for a d-bit m.
+  l62_ = 64 * n_ / 62 + 1;
+  m62_ = to_signed62(m_, l62_);
+  m_inv62_ = (0 - n0_) & kMask62;
+  const std::size_t d = m_.bit_length();
+  const std::size_t divsteps = d >= 46 ? (49 * d + 57) / 17 : (49 * d + 80) / 17;
+  inv_batches_ = (divsteps + 61) / 62;
 }
 
 template <std::size_t N>
@@ -312,10 +480,24 @@ U384 MontCtx::pow(const U384& a, const U384& e) const {
 }
 
 U384 MontCtx::inv(const U384& a) const {
-  // Fermat: a^(m-2) mod m for prime m.
-  U384 exponent;
-  sub_with_borrow(exponent, m_, U384::from_u64(2));
-  return pow(a, exponent);
+  // safegcd on (f, g) = (m, a), with d a = f and e a = g (mod m) throughout.
+  // After inv_batches_ batches g = 0 and, for a unit a, f = +-1, so the
+  // inverse is +-d; a = 0 leaves d = 0. The batch count depends only on m.
+  Signed62 f = m62_;
+  Signed62 g = to_signed62(a, l62_);
+  Signed62 d{};
+  Signed62 e{};
+  e[0] = 1;
+  std::uint64_t eta = ~std::uint64_t{0};  // delta = 1
+  for (std::size_t i = 0; i < inv_batches_; ++i) {
+    Transition t;
+    eta = divsteps_62(eta, static_cast<std::uint64_t>(f[0]),
+                      static_cast<std::uint64_t>(g[0]), t);
+    update_de(d, e, t, m62_, m_inv62_, l62_);
+    update_fg(f, g, t, l62_);
+  }
+  // a = x R, so the plain inverse is x^-1 R^-1; times R^3 / R gives x^-1 R.
+  return mul(normalize(d, f[l62_ - 1], m62_, l62_), r3_);
 }
 
 }  // namespace revelio::crypto

@@ -103,7 +103,9 @@ class MontCtx {
   /// Width-5 left-to-right sliding window.
   U384 pow(const U384& a, const U384& e) const;
 
-  /// Modular inverse via Fermat (modulus must be prime); Montgomery domain.
+  /// Modular inverse in the Montgomery domain (a must be a unit; inv(0) is
+  /// 0). Constant-time safegcd: a fixed, modulus-derived number of divstep
+  /// batches with no input-dependent branch or table index.
   U384 inv(const U384& a) const;
 
   /// R mod m — the Montgomery representation of 1.
@@ -120,9 +122,16 @@ class MontCtx {
 
   U384 m_;
   U384 r2_;   // R^2 mod m
+  U384 r3_;   // R^3 mod m: maps a plain inverse of x R to x^-1 R
   U384 one_;  // R mod m
   std::uint64_t n0_;  // -m^-1 mod 2^64
   std::size_t n_;     // limbs of m
+  // safegcd state: m in signed 62-bit limbs, m^-1 mod 2^62, the limb count
+  // and the number of 62-divstep batches.
+  std::array<std::int64_t, 7> m62_{};
+  std::uint64_t m_inv62_ = 0;
+  std::size_t l62_ = 0;
+  std::size_t inv_batches_ = 0;
   // The n-limb kernels, picked once at construction.
   Op mul_;
   Op add_;

@@ -415,7 +415,7 @@ TEST(MontCtx, MulMatchesSmallModulus) {
   }
 }
 
-TEST(MontCtx, PowAndFermatInverse) {
+TEST(MontCtx, InverseSmallPrime) {
   const MontCtx ctx(U384::from_u64(1000003));  // prime
   const U384 a = ctx.to_mont(U384::from_u64(123456));
   const U384 inv = ctx.inv(a);
@@ -647,7 +647,8 @@ TEST(MontCtxWidths, InverseMatchesFermatReference) {
 }
 
 TEST(MontCtxWidths, InverseOfZeroIsZero) {
-  std::vector<U384> moduli = {U384::from_u64(3), U384::from_u64(13),
+  std::vector<U384> moduli = {U384::from_u64(1), U384::from_u64(3),
+                              U384::from_u64(13),
                               U384::from_u64(1000003),
                               U384::from_u64(0x3fffffffffebULL)};
   for (const auto& c : width_cases()) moduli.push_back(c.m);
