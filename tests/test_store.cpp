@@ -43,6 +43,14 @@ using store::MemStorageEnv;
 
 Bytes B(std::string_view s) { return to_bytes(s); }
 
+/// prefix followed by n in decimal. Built by appending: GCC 12 warns
+/// (-Wrestrict) on the inlined `"literal" + std::to_string(n)` at -O3.
+std::string numbered(std::string_view prefix, long long n) {
+  std::string s(prefix);
+  s += std::to_string(n);
+  return s;
+}
+
 std::unique_ptr<KvStore> must_open(MemStorageEnv& env,
                                    KvStoreOptions opts = {}) {
   auto kv = KvStore::open(env, opts);
@@ -96,8 +104,8 @@ TEST(KvStore, CompactionPreservesStateAndCollectsGarbage) {
   auto kv = must_open(env);
   ASSERT_TRUE(kv);
   for (int i = 0; i < 32; ++i) {
-    ASSERT_TRUE(kv->put(B("key" + std::to_string(i % 4)),
-                        B("v" + std::to_string(i)))
+    ASSERT_TRUE(kv->put(B(numbered("key", i % 4)),
+                        B(numbered("v", i)))
                     .ok());
   }
   ASSERT_TRUE(kv->erase(B("key3")).ok());
@@ -250,7 +258,7 @@ TEST(KvStore, EverySnapshotByteFlipFailsClosed) {
     ASSERT_TRUE(kv);
     for (int i = 0; i < 8; ++i) {
       ASSERT_TRUE(
-          kv->put(B("key" + std::to_string(i)), B("value")).ok());
+          kv->put(B(numbered("key", i)), B("value")).ok());
     }
     ASSERT_TRUE(kv->compact().ok());
     // compact() bumps the on-disk generation past what open() recorded.
@@ -266,7 +274,7 @@ TEST(KvStore, EverySnapshotByteFlipFailsClosed) {
       ASSERT_TRUE(kv);
       for (int i = 0; i < 8; ++i) {
         ASSERT_TRUE(
-            kv->put(B("key" + std::to_string(i)), B("value")).ok());
+            kv->put(B(numbered("key", i)), B("value")).ok());
       }
       ASSERT_TRUE(kv->compact().ok());
     }
@@ -284,8 +292,8 @@ TEST(KvStore, MidLogByteFlipFailsClosedTailFlipRecoversPrefix) {
     auto kv = must_open(env);
     ASSERT_TRUE(kv);
     for (int i = 0; i < 6; ++i) {
-      ASSERT_TRUE(kv->put(B("key" + std::to_string(i)),
-                          B("value" + std::to_string(i)))
+      ASSERT_TRUE(kv->put(B(numbered("key", i)),
+                          B(numbered("value", i)))
                       .ok());
     }
   };
@@ -331,7 +339,7 @@ TEST(KvStore, MidLogByteFlipFailsClosedTailFlipRecoversPrefix) {
 size_t run_workload(KvStore& kv, std::map<Bytes, Bytes>& model) {
   size_t acked = 0;
   for (int i = 0; i < 12; ++i) {
-    const Bytes key = B("k" + std::to_string(i % 4));
+    const Bytes key = B(numbered("k", i % 4));
     if (i % 5 == 3) {
       if (kv.erase(key).ok()) {
         model.erase(key);
@@ -340,7 +348,7 @@ size_t run_workload(KvStore& kv, std::map<Bytes, Bytes>& model) {
         return acked;
       }
     } else {
-      const Bytes value = B("v" + std::to_string(i));
+      const Bytes value = B(numbered("v", i));
       if (kv.put(key, value).ok()) {
         model[key] = value;
         ++acked;
@@ -391,7 +399,7 @@ void run_crash_cell(int64_t kill_at, bool duplicate_tail) {
     EXPECT_EQ(*got, value) << "kill@" << kill_at;
   }
   for (int i = 0; i < 4; ++i) {
-    const Bytes key = B("k" + std::to_string(i));
+    const Bytes key = B(numbered("k", i));
     if (model.count(key) == 0) {
       EXPECT_FALSE((*revived)->get(key).has_value())
           << "kill@" << kill_at << ": resurrected " << to_string(key);
