@@ -748,25 +748,24 @@ int run_gateway_bench(const char* out_path, const char* audit_path,
   // the same seed: worlds are stateful (caches, tickets, DRBG draws), so
   // digest parity is only meaningful when both modes start from identical
   // state. Within a set the 1w level's mutations carry into the 4w level
-  // the same way for both modes.
+  // the same way for both modes. Both sets are built first and the levels
+  // interleave (staged 1w, staged_batch 1w, staged 4w, staged_batch 4w), so
+  // the batched-verify CPU ratio compares runs seconds apart at most and a
+  // host that changes speed mid-bench moves both sides alike.
+  //
+  // With batched verify dispatch, wavefronts of sessions parked at verify
+  // go through ONE ecdsa_verify_batch + multi-buffer audit hashing. Gated
+  // against "staged": bit-identical transcript digest, zero unverified
+  // accepts, and less real verify time.
   {
     std::vector<std::unique_ptr<GatewayWorld>> staged_store;
     std::vector<GatewayWorld*> staged_worlds = build_world_set(staged_store);
+    std::vector<std::unique_ptr<GatewayWorld>> batch_store;
+    std::vector<GatewayWorld*> batch_worlds = build_world_set(batch_store);
     for (const unsigned workers : {1u, 4u}) {
       levels.push_back(run_staged_full(staged_worlds, workers, kFullSessions,
                                        /*retry_attempts=*/1, {}, "staged"));
       print_level(levels.back());
-    }
-  }
-
-  // The same staged levels with batched verify dispatch: wavefronts of
-  // sessions parked at verify go through ONE ecdsa_verify_batch +
-  // multi-buffer audit hashing. Gated against "staged": bit-identical
-  // transcript digest, zero unverified accepts, and less real verify time.
-  {
-    std::vector<std::unique_ptr<GatewayWorld>> batch_store;
-    std::vector<GatewayWorld*> batch_worlds = build_world_set(batch_store);
-    for (const unsigned workers : {1u, 4u}) {
       levels.push_back(run_staged_full(batch_worlds, workers, kFullSessions,
                                        /*retry_attempts=*/1, {},
                                        "staged_batch", nullptr,

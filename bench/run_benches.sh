@@ -23,14 +23,14 @@
 # bench/BENCH_attestation.baseline.json; a stage whose virt_ms regresses by
 # more than 25% fails the run.
 #
-# Also writes BENCH_gateway.json: the event-driven session engine vs the
-# blocking lane model (bench_gateway). Gated: >= 3x staged-vs-blocking
-# virtual throughput at one worker, exactly one KDS fetch per cold
-# full-crypto level (single-flight), zero unverified-trust acceptances
-# everywhere (chaos soak included), >= 1000 parked sessions per worker at
-# the 100k-session level, bytes/parked-session flat (100k within 15% of
-# 1k), bit-identical transcript digests on the replayed synthetic levels,
-# and virtual makespan/latency percentiles within 25% of
+# Also writes BENCH_gateway.json: the event-driven session engine vs a
+# thread-per-session blocking client (bench_gateway). Gated: >= 3x
+# staged-vs-blocking virtual throughput at one worker, exactly one KDS
+# fetch per cold full-crypto level (single-flight), zero unverified-trust
+# acceptances everywhere (chaos soak included), >= 1000 parked sessions
+# per worker at the 100k-session level, bytes/parked-session flat (100k
+# within 15% of 1k), bit-identical transcript digests on the replayed
+# synthetic levels, and virtual makespan/latency percentiles within 25% of
 # bench/BENCH_gateway.baseline.json (chaos levels excepted: their fault
 # draws key on absolute virtual time, which inherits real boot timing).
 # A missing or malformed gateway baseline fails the run with a clear
