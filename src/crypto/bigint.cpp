@@ -201,31 +201,12 @@ std::uint64_t divsteps_62(std::uint64_t eta, std::uint64_t f, std::uint64_t g,
   return eta;
 }
 
-// (f, g) <- t (f, g) / 2^62; the division is exact.
-void update_fg(Signed62& f, Signed62& g, const Transition& t,
-               std::size_t len) {
-  int128 cf = static_cast<int128>(t.u) * f[0] + static_cast<int128>(t.v) * g[0];
-  int128 cg = static_cast<int128>(t.q) * f[0] + static_cast<int128>(t.r) * g[0];
-  cf >>= 62;
-  cg >>= 62;
-  for (std::size_t i = 1; i < len; ++i) {
-    cf += static_cast<int128>(t.u) * f[i] + static_cast<int128>(t.v) * g[i];
-    cg += static_cast<int128>(t.q) * f[i] + static_cast<int128>(t.r) * g[i];
-    f[i - 1] = static_cast<std::int64_t>(static_cast<std::uint64_t>(cf) &
-                                         kMask62);
-    g[i - 1] = static_cast<std::int64_t>(static_cast<std::uint64_t>(cg) &
-                                         kMask62);
-    cf >>= 62;
-    cg >>= 62;
-  }
-  f[len - 1] = static_cast<std::int64_t>(cf);
-  g[len - 1] = static_cast<std::int64_t>(cg);
-}
-
 // (d, e) <- t (d, e) / 2^62 mod m, adding the multiples of m that clear the
-// low 62 bits. Inputs in (-2m, m) give outputs in (-2m, m).
-void update_de(Signed62& d, Signed62& e, const Transition& t,
-               const Signed62& m, std::uint64_t m_inv62, std::size_t len) {
+// low 62 bits; inputs in (-2m, m) give outputs in (-2m, m). With m = 0 the
+// division is exact, which is how (f, g) are updated.
+void apply_transition(Signed62& d, Signed62& e, const Transition& t,
+                      const Signed62& m, std::uint64_t m_inv62,
+                      std::size_t len) {
   // Start from u (or q) times m if d < 0, plus v (or r) times m if e < 0.
   const std::uint64_t d_neg =
       0 - (static_cast<std::uint64_t>(d[len - 1]) >> 63);
@@ -493,8 +474,8 @@ U384 MontCtx::inv(const U384& a) const {
     Transition t;
     eta = divsteps_62(eta, static_cast<std::uint64_t>(f[0]),
                       static_cast<std::uint64_t>(g[0]), t);
-    update_de(d, e, t, m62_, m_inv62_, l62_);
-    update_fg(f, g, t, l62_);
+    apply_transition(d, e, t, m62_, m_inv62_, l62_);
+    apply_transition(f, g, t, Signed62{}, 0, l62_);
   }
   // a = x R, so the plain inverse is x^-1 R^-1; times R^3 / R gives x^-1 R.
   return mul(normalize(d, f[l62_ - 1], m62_, l62_), r3_);
