@@ -5,9 +5,14 @@
 // modulus at its own width: a MontCtx over an n-limb modulus uses
 // R = 2^(64n) and one CIOS multiply / carry-chain add / sub kernel
 // instantiated for exactly n limbs, so P-256 fields cost 4x4-limb products
-// instead of 6x6. Exponentiation (Fermat inversion, square roots) uses a
-// width-5 sliding window whose operation sequence depends only on the
-// public exponent.
+// instead of 6x6. On x86-64 the limb loops are explicit ADC/SBB chains
+// (_addcarry_u64 / _subborrow_u64); a multiply row adds its low product
+// halves on one chain and its high halves on another.
+//
+// Inversion is constant-time safegcd (Bernstein-Yang divsteps, 62 per
+// transition matrix, a batch count fixed by the modulus bit length).
+// Exponentiation, used for square roots, is a width-5 sliding window whose
+// operation sequence depends only on the public exponent.
 #pragma once
 
 #include <array>
