@@ -13,12 +13,25 @@
 #include "crypto/modes.hpp"
 #include "revelio/evidence.hpp"
 
+namespace revelio {
+class RevocationSet;  // revelio/revocation.hpp
+}  // namespace revelio
+
+namespace revelio::fleet {
+class TcbHorizon;  // fleet/tcb_horizon.hpp
+}  // namespace revelio::fleet
+
 namespace revelio::core {
 
 /// The policy both endpoints enforce on each other.
 struct PeerPolicy {
   std::vector<sevsnp::Measurement> trusted_measurements;
   std::optional<sevsnp::TcbVersion> minimum_tcb;
+  /// Fail-closed gates (off when null): a peer whose measurement, chip or
+  /// VCEK is revoked, or whose TCB is below its chip's announced update
+  /// horizon, is not admitted. Must outlive every handshake using them.
+  const RevocationSet* revocation_set = nullptr;
+  const fleet::TcbHorizon* tcb_horizon = nullptr;
 };
 
 /// One endpoint's long-lived channel identity: the VM identity key plus

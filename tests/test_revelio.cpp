@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <iterator>
 #include <map>
 
@@ -10,6 +11,7 @@
 #include "pki/acme.hpp"
 #include "revelio/revelio_vm.hpp"
 #include "revelio/revocation.hpp"
+#include "revelio/secure_channel.hpp"
 #include "revelio/sp_node.hpp"
 #include "revelio/trusted_registry.hpp"
 #include "revelio/web_extension.hpp"
@@ -77,6 +79,8 @@ struct RevelioFixture : ::testing::Test {
     config.host = host;
     config.image = img;
     config.kds_address = {"kds.amd.com", 443};
+    config.revocation_set = node_revocation;
+    config.tcb_horizon = node_horizon;
     auto node = RevelioVm::deploy(*sp, network, config, app_routes());
     EXPECT_TRUE(node.ok()) << (node.ok() ? "" : node.error().to_string());
     platforms.push_back(std::move(sp));
@@ -134,6 +138,9 @@ struct RevelioFixture : ::testing::Test {
   std::vector<std::unique_ptr<RevelioVm>> nodes;
   std::unique_ptr<SpNode> sp;
   std::vector<NodeAttestation> fleet_outcomes;
+  /// Key-handoff gates of the nodes deploy_node() builds from now on.
+  const RevocationSet* node_revocation = nullptr;
+  const fleet::TcbHorizon* node_horizon = nullptr;
 };
 
 // ------------------------------------------------------------ provisioning
@@ -294,6 +301,219 @@ TEST_F(RevelioFixture, KeyRequestFromUntrustedImageRefused) {
   auto response = net::HttpResponse::parse(*raw);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->status, 403);
+}
+
+// --------------------------------------- fail-closed gates, every party
+
+/// One way to condemn evidence that is otherwise valid: the failure step
+/// every relying party must name, and what arms the gate against a chip.
+struct Condemnation {
+  const char* step;
+  const char* detail;  // the refusal text names what was condemned
+  std::function<void(RevocationSet&, fleet::TcbHorizon&,
+                     const sevsnp::ChipId&, const sevsnp::Measurement&,
+                     std::uint64_t now_us)>
+      arm;
+};
+
+const std::vector<Condemnation>& condemnations() {
+  static const std::vector<Condemnation> all = {
+      {"revocation", "measurement is revoked",
+       [](RevocationSet& r, fleet::TcbHorizon&, const sevsnp::ChipId&,
+          const sevsnp::Measurement& m, std::uint64_t) {
+         ASSERT_TRUE(r.revoke_measurement(m, "bad image").ok());
+       }},
+      {"revocation", "chip is revoked",
+       [](RevocationSet& r, fleet::TcbHorizon&, const sevsnp::ChipId& chip,
+          const sevsnp::Measurement&, std::uint64_t) {
+         ASSERT_TRUE(r.revoke_chip(chip, "key leak").ok());
+       }},
+      {"tcb_horizon", "below the chip's update horizon",
+       [](RevocationSet&, fleet::TcbHorizon& h, const sevsnp::ChipId& chip,
+          const sevsnp::Measurement&, std::uint64_t now_us) {
+         ASSERT_TRUE(
+             h.announce(chip, sevsnp::TcbVersion{3, 0, 9, 120}, now_us,
+                        "staged update")
+                 .ok());
+       }},
+  };
+  return all;
+}
+
+TEST_F(RevelioFixture, SpRefusesRevokedAndStaleNodesInAttestNode) {
+  nodes.push_back(deploy_node("10.0.0.1", image));
+  for (const Condemnation& c : condemnations()) {
+    SCOPED_TRACE(c.detail);
+    RevocationSet revocation;
+    fleet::TcbHorizon horizon;
+    c.arm(revocation, horizon, platforms[0]->chip_id(), expected_measurement,
+          clock.now_us());
+    SpNodeConfig sp_config;
+    sp_config.domain = kDomain;
+    sp_config.kds_address = {"kds.amd.com", 443};
+    sp_config.expected_measurements = {expected_measurement};
+    sp_config.revocation_set = &revocation;
+    sp_config.tcb_horizon = &horizon;
+    SpNode gated(network, acme, sp_config);
+    gated.approve_node(nodes[0]->bootstrap_address(), platforms[0]->chip_id());
+    auto csr = gated.attest_node(nodes[0]->bootstrap_address());
+    ASSERT_FALSE(csr.ok());
+    EXPECT_NE(csr.error().to_string().find(c.step), std::string::npos)
+        << csr.error().to_string();
+    EXPECT_NE(csr.error().to_string().find(c.detail), std::string::npos)
+        << csr.error().to_string();
+  }
+}
+
+TEST_F(RevelioFixture, SpProvisioningOutcomesNameTheGateThatRefused) {
+  // 10.0.0.1 is clean and leads; each other node trips one gate. The
+  // revoked-measurement node runs a second, otherwise expected image.
+  const imagebuild::VmImage retired = build_image("service-binary-v0");
+  const sevsnp::Measurement retired_measurement =
+      vm::Hypervisor::expected_measurement(
+          retired.kernel_blob, retired.initrd_blob, retired.cmdline);
+  nodes.push_back(deploy_node("10.0.0.1", image));
+  nodes.push_back(deploy_node("10.0.0.2", retired));
+  nodes.push_back(deploy_node("10.0.0.3", image));
+  nodes.push_back(deploy_node("10.0.0.4", image));
+  RevocationSet revocation;
+  fleet::TcbHorizon horizon;
+  const std::size_t victims[] = {1, 2, 3};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const std::size_t n = victims[i];
+    condemnations()[i].arm(revocation, horizon, platforms[n]->chip_id(),
+                           retired_measurement, clock.now_us());
+  }
+  SpNodeConfig sp_config;
+  sp_config.domain = kDomain;
+  sp_config.kds_address = {"kds.amd.com", 443};
+  sp_config.expected_measurements = {expected_measurement,
+                                     retired_measurement};
+  sp_config.revocation_set = &revocation;
+  sp_config.tcb_horizon = &horizon;
+  sp = std::make_unique<SpNode>(network, acme, sp_config);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    sp->approve_node(nodes[i]->bootstrap_address(), platforms[i]->chip_id());
+  }
+  auto outcomes = sp->provision_fleet();
+  ASSERT_TRUE(outcomes.ok()) << outcomes.error().to_string();
+  ASSERT_EQ(outcomes->size(), 4u);
+  EXPECT_TRUE((*outcomes)[0].attested) << (*outcomes)[0].failure;
+  EXPECT_TRUE(nodes[0]->serving_tls());
+  for (std::size_t i = 0; i < 3; ++i) {
+    const NodeAttestation& outcome = (*outcomes)[victims[i]];
+    SCOPED_TRACE(outcome.bootstrap_address.to_string());
+    EXPECT_FALSE(outcome.attested);
+    EXPECT_NE(outcome.failure.find(condemnations()[i].step),
+              std::string::npos)
+        << outcome.failure;
+    EXPECT_NE(outcome.failure.find(condemnations()[i].detail),
+              std::string::npos)
+        << outcome.failure;
+    EXPECT_FALSE(nodes[victims[i]]->serving_tls());
+  }
+}
+
+TEST_F(RevelioFixture, LeaderRefusesKeyRequestFromRevokedOrStaleFollower) {
+  // One set pair per case, alive as long as the nodes holding them.
+  RevocationSet revocations[3];
+  fleet::TcbHorizon horizons[3];
+  for (std::size_t k = 0; k < condemnations().size(); ++k) {
+    const Condemnation& c = condemnations()[k];
+    SCOPED_TRACE(c.detail);
+    // A fresh fleet per case, its nodes gated by this case's sets; the
+    // sets stay empty until provisioning is done, so every node first
+    // gets the shared key.
+    RevocationSet& revocation = revocations[k];
+    fleet::TcbHorizon& horizon = horizons[k];
+    node_revocation = &revocation;
+    node_horizon = &horizon;
+    const std::string prefix = "10.1." + std::to_string(k) + ".";
+    const std::size_t first = nodes.size();
+    for (int i = 1; i <= 2; ++i) {
+      nodes.push_back(deploy_node(prefix + std::to_string(i), image));
+    }
+    SpNodeConfig sp_config;
+    sp_config.domain = kDomain;
+    sp_config.kds_address = {"kds.amd.com", 443};
+    sp_config.expected_measurements = {expected_measurement};
+    SpNode sp_node(network, acme, sp_config);
+    for (std::size_t i = first; i < nodes.size(); ++i) {
+      sp_node.approve_node(nodes[i]->bootstrap_address(),
+                           platforms[i]->chip_id());
+    }
+    auto outcomes = sp_node.provision_fleet();
+    ASSERT_TRUE(outcomes.ok()) << outcomes.error().to_string();
+    ASSERT_TRUE((*outcomes)[1].attested) << (*outcomes)[1].failure;
+
+    // Now condemn the follower and have it ask the leader again.
+    RevelioVm& leader = *nodes[first];
+    RevelioVm& follower = *nodes[first + 1];
+    c.arm(revocation, horizon, platforms[first + 1]->chip_id(),
+          expected_measurement, clock.now_us());
+    net::HttpRequest request;
+    request.method = "POST";
+    request.path = "/revelio/key-request";
+    request.host = kDomain;
+    request.body = follower.identity_evidence().serialize();
+    auto raw = network.call(follower.https_address(),
+                            leader.bootstrap_address(), request.serialize());
+    ASSERT_TRUE(raw.ok()) << raw.error().to_string();
+    auto response = net::HttpResponse::parse(*raw);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->status, 403);
+    const std::string body = to_string(response->body);
+    EXPECT_NE(body.find(c.step), std::string::npos) << body;
+    EXPECT_NE(body.find(c.detail), std::string::npos) << body;
+  }
+  node_revocation = nullptr;
+  node_horizon = nullptr;
+}
+
+TEST_F(RevelioFixture, FollowerRefusesKeyFromRevokedOrStaleLeader) {
+  RevocationSet revocations[3];
+  fleet::TcbHorizon horizons[3];
+  for (std::size_t k = 0; k < condemnations().size(); ++k) {
+    const Condemnation& c = condemnations()[k];
+    SCOPED_TRACE(c.detail);
+    // The leader is ungated (it hands the key to anyone the SP admitted);
+    // the follower is gated, and its gate condemns the leader.
+    RevocationSet& revocation = revocations[k];
+    fleet::TcbHorizon& horizon = horizons[k];
+    const std::string prefix = "10.2." + std::to_string(k) + ".";
+    const std::size_t first = nodes.size();
+    node_revocation = nullptr;
+    node_horizon = nullptr;
+    nodes.push_back(deploy_node(prefix + "1", image));
+    node_revocation = &revocation;
+    node_horizon = &horizon;
+    nodes.push_back(deploy_node(prefix + "2", image));
+    c.arm(revocation, horizon, platforms[first]->chip_id(),
+          expected_measurement, clock.now_us());
+
+    SpNodeConfig sp_config;
+    sp_config.domain = kDomain;
+    sp_config.kds_address = {"kds.amd.com", 443};
+    sp_config.expected_measurements = {expected_measurement};
+    SpNode sp_node(network, acme, sp_config);
+    for (std::size_t i = first; i < nodes.size(); ++i) {
+      sp_node.approve_node(nodes[i]->bootstrap_address(),
+                           platforms[i]->chip_id());
+    }
+    auto outcomes = sp_node.provision_fleet();
+    ASSERT_TRUE(outcomes.ok()) << outcomes.error().to_string();
+    ASSERT_EQ(outcomes->size(), 2u);
+    EXPECT_TRUE((*outcomes)[0].attested) << (*outcomes)[0].failure;
+    EXPECT_TRUE(nodes[first]->serving_tls());
+    EXPECT_FALSE((*outcomes)[1].attested);
+    EXPECT_NE((*outcomes)[1].failure.find(c.step), std::string::npos)
+        << (*outcomes)[1].failure;
+    EXPECT_NE((*outcomes)[1].failure.find(c.detail), std::string::npos)
+        << (*outcomes)[1].failure;
+    EXPECT_FALSE(nodes[first + 1]->serving_tls());
+  }
+  node_revocation = nullptr;
+  node_horizon = nullptr;
 }
 
 // --------------------------------------------------------------- end-user
@@ -689,14 +909,17 @@ TEST(EvidenceBundle, BindAndRoundTrip) {
   EXPECT_FALSE(EvidenceBundle::parse(to_bytes(std::string_view("x"))).ok());
 }
 
-// ----------------------------------- one check sequence, three entry points
+// ------------------------- one check sequence, five relying-party paths
 
 /// One SEV-SNP platform behind a CA-valid TLS endpoint that serves whatever
 /// evidence bundle the test puts in `evidence`: enough to hand the same
 /// (possibly doctored) evidence to the blocking get(), the staged verify()
-/// and batch_verify_sessions() and compare their verdicts.
+/// and batch_verify_sessions() and compare their verdicts. The same
+/// platform also answers the SP node's CSR-bundle fetch, and the evidence
+/// opens a secure-channel handshake, so the SP node and the channel judge
+/// the same case.
 struct ExtensionPathsFixture : ::testing::Test {
-  enum class Path { kBlocking, kStaged, kBatch };
+  enum class Path { kBlocking, kStaged, kBatch, kSp, kChannel };
 
   /// Everything a verdict leaves behind that the three paths must agree on.
   struct Outcome {
@@ -723,7 +946,7 @@ struct ExtensionPathsFixture : ::testing::Test {
     ASSERT_TRUE(platform.launch_finish().ok());
 
     HmacDrbg key_drbg(to_bytes(std::string_view("site-key")));
-    const auto key = crypto::ec_generate(crypto::p256(), key_drbg);
+    key = crypto::ec_generate(crypto::p256(), key_drbg);
     const Bytes public_key = key.public_encoded(crypto::p256());
     const auto csr = pki::make_csr(crypto::p256(), key,
                                    {kDomain, "Site", "US"}, {kDomain});
@@ -759,6 +982,26 @@ struct ExtensionPathsFixture : ::testing::Test {
     ASSERT_TRUE(report.ok());
     evidence = EvidenceBundle{std::move(*report), public_key};
     site.expected_measurements = {evidence.report.measurement};
+
+    // The SP node's view of the same platform: a report over the CSR,
+    // served at the bootstrap endpoint with whatever the test did to the
+    // served report's signature done to it too.
+    auto csr_report = platform.get_report(EvidenceBundle::bind(csr.serialize()));
+    ASSERT_TRUE(csr_report.ok());
+    csr_evidence = EvidenceBundle{std::move(*csr_report), csr.serialize()};
+    issued_signature = evidence.report.signature;
+    network.listen(kBootstrap, [this](ByteView raw, const net::Address&) {
+      auto request = net::HttpRequest::parse(raw);
+      if (!request.ok() || request->path != "/revelio/csr-bundle") {
+        return net::HttpResponse::not_found().serialize();
+      }
+      EvidenceBundle served = csr_evidence;
+      for (std::size_t i = 0; i < served.report.signature.size(); ++i) {
+        served.report.signature[i] ^=
+            evidence.report.signature[i] ^ issued_signature[i];
+      }
+      return net::HttpResponse::ok(served.serialize()).serialize();
+    });
   }
 
   static std::map<std::string, std::uint64_t> verdict_counters() {
@@ -839,8 +1082,61 @@ struct ExtensionPathsFixture : ::testing::Test {
     return out;
   }
 
-  /// Runs the three paths against the current evidence and requires one
-  /// verdict: status, failure step, checks, audit record and counters.
+  /// The verdict of a relying party other than the browser: its status
+  /// and the failure step its refusal names ("" when it accepts).
+  struct PartyOutcome {
+    std::string status;
+    std::string step;
+  };
+
+  /// One attestation of the same platform's evidence by a fresh SP node
+  /// (kSp) or secure-channel responder (kChannel), under the site's
+  /// measurement and TCB policy and the fixture's gates.
+  PartyOutcome run_party(Path path) {
+    Status st = Status::success();
+    if (path == Path::kSp) {
+      SpNodeConfig config;
+      config.domain = kDomain;
+      config.kds_address = kds_service.address();
+      config.expected_measurements = site.expected_measurements;
+      config.minimum_tcb = site.minimum_tcb;
+      config.revocation_set = &revocation;
+      config.tcb_horizon = &horizon;
+      SpNode sp(network, acme, config);
+      sp.approve_node(kBootstrap, platform.chip_id());
+      auto csr = sp.attest_node(kBootstrap);
+      if (!csr.ok()) st = csr.error();
+    } else {
+      PeerPolicy policy;
+      policy.trusted_measurements = site.expected_measurements;
+      policy.minimum_tcb = site.minimum_tcb;
+      policy.revocation_set = &revocation;
+      policy.tcb_horizon = &horizon;
+      auto vcek = kds.fetch_vcek(evidence.report.chip_id,
+                                 evidence.report.reported_tcb);
+      EXPECT_TRUE(vcek.ok());
+      const KdsService::VcekResponse chain{*vcek, kds.ask_certificate(),
+                                           kds.ark_certificate()};
+      const ChannelIdentity identity{key, evidence};
+      Bytes state;
+      const ChannelHello hello = SecureChannel::initiate(identity, drbg, state);
+      auto responded = SecureChannel::respond(identity, policy, hello, chain,
+                                              drbg, clock.now_us());
+      if (!responded.ok()) st = responded.error();
+    }
+    PartyOutcome out;
+    out.status = st.ok() ? "ok" : st.error().to_string();
+    // A refusal's detail leads with its failure step: "<step>: ...".
+    if (!st.ok()) {
+      out.step = st.error().detail.substr(0, st.error().detail.find(':'));
+    }
+    return out;
+  }
+
+  /// Runs the five paths against the current evidence and requires one
+  /// verdict. The three browser paths agree on status, failure step,
+  /// checks, audit record and counters; the SP node and the channel agree
+  /// with them on accept or reject and on the failure step.
   void expect_paths_agree(const std::string& step,
                           const std::string& report_verify_result) {
     const Outcome blocking = run(Path::kBlocking);
@@ -874,7 +1170,19 @@ struct ExtensionPathsFixture : ::testing::Test {
       EXPECT_EQ(other.audit, blocking.audit);
       EXPECT_EQ(other.counters, blocking.counters);
     }
+
+    const std::pair<const char*, Path> parties[] = {{"sp", Path::kSp},
+                                                    {"channel", Path::kChannel}};
+    for (const auto& [name, path] : parties) {
+      SCOPED_TRACE(name);
+      const PartyOutcome other = run_party(path);
+      EXPECT_EQ(other.status == "ok", step.empty()) << other.status;
+      EXPECT_EQ(other.step, step) << other.status;
+    }
   }
+
+  /// Where the stub bootstrap endpoint serves the CSR bundle.
+  const net::Address kBootstrap{"10.0.0.9", 8443};
 
   SimClock clock;
   net::Network network;
@@ -884,7 +1192,10 @@ struct ExtensionPathsFixture : ::testing::Test {
   pki::AcmeIssuer acme;
   sevsnp::AmdSp platform;
   std::unique_ptr<net::TlsServer> server;
+  crypto::EcKeyPair key;  // the site's identity key
   EvidenceBundle evidence;
+  EvidenceBundle csr_evidence;
+  Bytes issued_signature;  // evidence.report.signature as the chip signed it
   SiteRegistration site;
   RevocationSet revocation;
   fleet::TcbHorizon horizon;

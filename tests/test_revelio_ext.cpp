@@ -3,8 +3,12 @@
 // and the Auditor (the delegated-verification workflow of D2/§3.4.7).
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "fleet/tcb_horizon.hpp"
 #include "imagebuild/builder.hpp"
 #include "revelio/auditor.hpp"
+#include "revelio/revocation.hpp"
 #include "vm/hypervisor.hpp"
 #include "revelio/secure_channel.hpp"
 
@@ -182,6 +186,80 @@ TEST_F(ChannelFixture, TcbFloorEnforcedOnPeers) {
   EXPECT_FALSE(
       SecureChannel::respond(bob, policy, hello, kds_for(alice), drbg, 0)
           .ok());
+}
+
+// A revoked measurement, a revoked chip and a TCB below the chip's update
+// horizon each keep a peer out, whichever side it is on: the responder
+// refuses such an initiator in respond(), the initiator refuses such a
+// responder in complete(). The refusal names its failure step.
+TEST_F(ChannelFixture, RevokedOrStalePeerRefusedOnBothSides) {
+  const auto alice = make_identity("platform-a", "image-a");
+  const auto bob = make_identity("platform-b", "image-b");
+  using Arm = std::function<void(RevocationSet&, fleet::TcbHorizon&,
+                                 const ChannelIdentity&)>;
+  const std::tuple<const char*, const char*, Arm> cases[] = {
+      {"revocation", "measurement is revoked",
+       [](RevocationSet& r, fleet::TcbHorizon&, const ChannelIdentity& id) {
+         ASSERT_TRUE(
+             r.revoke_measurement(id.evidence.report.measurement).ok());
+       }},
+      {"revocation", "chip is revoked",
+       [](RevocationSet& r, fleet::TcbHorizon&, const ChannelIdentity& id) {
+         ASSERT_TRUE(r.revoke_chip(id.evidence.report.chip_id).ok());
+       }},
+      {"tcb_horizon", "below the chip's update horizon",
+       [](RevocationSet&, fleet::TcbHorizon& h, const ChannelIdentity& id) {
+         ASSERT_TRUE(h.announce(id.evidence.report.chip_id,
+                                sevsnp::TcbVersion{3, 0, 9, 120}, 0)
+                         .ok());
+       }},
+  };
+  for (const auto& [step, detail, arm] : cases) {
+    SCOPED_TRACE(detail);
+    const auto expect_refusal = [&, step = step, detail = detail](
+                                    const Error& error) {
+      EXPECT_NE(error.to_string().find(step), std::string::npos)
+          << error.to_string();
+      EXPECT_NE(error.to_string().find(detail), std::string::npos)
+          << error.to_string();
+    };
+
+    // respond(): the gate condemns the initiator.
+    {
+      RevocationSet revocation;
+      fleet::TcbHorizon horizon;
+      arm(revocation, horizon, alice);
+      PeerPolicy policy = policy_trusting_all();
+      policy.revocation_set = &revocation;
+      policy.tcb_horizon = &horizon;
+      Bytes state;
+      const ChannelHello hello = SecureChannel::initiate(alice, drbg, state);
+      const auto r = SecureChannel::respond(bob, policy, hello,
+                                            kds_for(alice), drbg, 0);
+      ASSERT_FALSE(r.ok());
+      expect_refusal(r.error());
+    }
+    // complete(): the gate condemns the responder; the responder's own
+    // (ungated) check of the initiator passes.
+    {
+      RevocationSet revocation;
+      fleet::TcbHorizon horizon;
+      arm(revocation, horizon, bob);
+      PeerPolicy policy = policy_trusting_all();
+      policy.revocation_set = &revocation;
+      policy.tcb_horizon = &horizon;
+      Bytes state;
+      const ChannelHello hello = SecureChannel::initiate(alice, drbg, state);
+      auto responded = SecureChannel::respond(bob, policy_trusting_all(),
+                                              hello, kds_for(alice), drbg, 0);
+      ASSERT_TRUE(responded.ok()) << responded.error().to_string();
+      const auto c = SecureChannel::complete(alice, policy, state,
+                                             responded->first, kds_for(bob),
+                                             0);
+      ASSERT_FALSE(c.ok());
+      expect_refusal(c.error());
+    }
+  }
 }
 
 // --------------------------------------------------------------- auditor
