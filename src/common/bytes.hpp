@@ -74,6 +74,52 @@ inline std::uint64_t read_u64be(ByteView v, std::size_t off) {
   return r;
 }
 
+/// Appends `v` behind its u32be length: the field framing shared by the
+/// wire formats here (HTTP frames, certificates, boot blobs, provisioning).
+inline void append_field(Bytes& dst, ByteView v) {
+  append_u32be(dst, static_cast<std::uint32_t>(v.size()));
+  append(dst, v);
+}
+
+inline void append_field(Bytes& dst, std::string_view v) {
+  append_u32be(dst, static_cast<std::uint32_t>(v.size()));
+  append(dst, v);
+}
+
+/// Reads back big-endian integers and append_field() fields. A read past
+/// the end sets `failed` and yields 0 or empty, as does a field read once
+/// `failed` is set; callers check `failed` after their last read.
+struct FieldReader {
+  ByteView data;
+  std::size_t off = 0;
+  bool failed = false;
+
+  /// Claims the next `n` bytes, or fails if they are not there.
+  bool take(std::size_t n) {
+    if (off > data.size() || n > data.size() - off) {
+      failed = true;
+      return false;
+    }
+    off += n;
+    return true;
+  }
+  std::uint8_t u8() { return take(1) ? data[off - 1] : 0; }
+  std::uint32_t u32() { return take(4) ? read_u32be(data, off - 4) : 0; }
+  std::uint64_t u64() { return take(8) ? read_u64be(data, off - 8) : 0; }
+  ByteView field() {
+    const std::uint32_t len = u32();
+    if (failed || !take(len)) return {};
+    return data.subspan(off - len, len);
+  }
+  Bytes bytes() { return to_bytes(field()); }
+  std::string str() { return to_string(field()); }
+  Bytes rest() {
+    const ByteView tail = off < data.size() ? data.subspan(off) : ByteView{};
+    off = data.size();
+    return to_bytes(tail);
+  }
+};
+
 /// Concatenates any number of views into one buffer.
 template <typename... Views>
 Bytes concat(const Views&... views) {

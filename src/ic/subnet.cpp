@@ -4,15 +4,6 @@
 
 namespace revelio::ic {
 
-namespace {
-
-void append_string(Bytes& out, const std::string& s) {
-  append_u32be(out, static_cast<std::uint32_t>(s.size()));
-  append(out, s);
-}
-
-}  // namespace
-
 crypto::Digest32 Certificate::signed_digest() const {
   crypto::Sha256 h;
   h.update(to_bytes(std::string_view("ic-certificate-v1")));
@@ -22,8 +13,8 @@ crypto::Digest32 Certificate::signed_digest() const {
   h.update(state_root.view());
   h.update(response_hash.view());
   Bytes names;
-  append_string(names, canister);
-  append_string(names, method);
+  append_field(names, canister);
+  append_field(names, method);
   h.update(names);
   return h.finish();
 }
@@ -34,8 +25,8 @@ Bytes Certificate::serialize() const {
   append_u64be(out, round);
   append(out, state_root.view());
   append(out, response_hash.view());
-  append_string(out, canister);
-  append_string(out, method);
+  append_field(out, canister);
+  append_field(out, method);
   append_u32be(out, static_cast<std::uint32_t>(signatures.size()));
   for (const auto& [id, sig] : signatures) {
     append_u32be(out, id);

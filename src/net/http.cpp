@@ -6,55 +6,16 @@ namespace revelio::net {
 
 namespace {
 
-void append_string(Bytes& out, const std::string& s) {
-  append_u32be(out, static_cast<std::uint32_t>(s.size()));
-  append(out, s);
-}
-
-struct Reader {
-  ByteView data;
-  std::size_t off = 0;
-  bool failed = false;
-
-  std::uint32_t u32() {
-    if (off + 4 > data.size()) {
-      failed = true;
-      return 0;
-    }
-    const std::uint32_t v = read_u32be(data, off);
-    off += 4;
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t len = u32();
-    // Overflow-proof bound: `off + len` could wrap on 32-bit size_t with a
-    // hostile length field, so compare against the remaining bytes instead.
-    if (failed || len > data.size() - off) {
-      failed = true;
-      return {};
-    }
-    std::string s(data.begin() + static_cast<std::ptrdiff_t>(off),
-                  data.begin() + static_cast<std::ptrdiff_t>(off + len));
-    off += len;
-    return s;
-  }
-  Bytes rest() {
-    Bytes b = to_bytes(data.subspan(off));
-    off = data.size();
-    return b;
-  }
-};
-
 void append_headers(Bytes& out,
                     const std::map<std::string, std::string>& headers) {
   append_u32be(out, static_cast<std::uint32_t>(headers.size()));
   for (const auto& [k, v] : headers) {
-    append_string(out, k);
-    append_string(out, v);
+    append_field(out, k);
+    append_field(out, v);
   }
 }
 
-bool read_headers(Reader& r, std::map<std::string, std::string>& headers) {
+bool read_headers(FieldReader& r, std::map<std::string, std::string>& headers) {
   const std::uint32_t count = r.u32();
   if (count > 256) return false;
   for (std::uint32_t i = 0; i < count && !r.failed; ++i) {
@@ -70,9 +31,9 @@ bool read_headers(Reader& r, std::map<std::string, std::string>& headers) {
 Bytes HttpRequest::serialize() const {
   Bytes out;
   append(out, std::string_view("HTQ1"));
-  append_string(out, method);
-  append_string(out, path);
-  append_string(out, host);
+  append_field(out, method);
+  append_field(out, path);
+  append_field(out, host);
   append_headers(out, headers);
   append_u32be(out, static_cast<std::uint32_t>(body.size()));
   append(out, body);
@@ -83,7 +44,7 @@ Result<HttpRequest> HttpRequest::parse(ByteView data) {
   if (data.size() < 4 || to_string(data.subspan(0, 4)) != "HTQ1") {
     return Error::make("http.bad_request_frame");
   }
-  Reader r{data, 4};
+  FieldReader r{data, 4};
   HttpRequest req;
   req.method = r.str();
   req.path = r.str();
@@ -115,7 +76,7 @@ Result<HttpResponse> HttpResponse::parse(ByteView data) {
   if (data.size() < 4 || to_string(data.subspan(0, 4)) != "HTS1") {
     return Error::make("http.bad_response_frame");
   }
-  Reader r{data, 4};
+  FieldReader r{data, 4};
   HttpResponse resp;
   resp.status = static_cast<int>(r.u32());
   if (!read_headers(r, resp.headers)) {

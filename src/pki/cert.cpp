@@ -4,69 +4,13 @@ namespace revelio::pki {
 
 namespace {
 
-void append_string(Bytes& out, const std::string& s) {
-  append_u32be(out, static_cast<std::uint32_t>(s.size()));
-  append(out, s);
-}
-
-void append_bytes_field(Bytes& out, ByteView v) {
-  append_u32be(out, static_cast<std::uint32_t>(v.size()));
-  append(out, v);
-}
-
-struct Reader {
-  ByteView data;
-  std::size_t off = 0;
-  bool failed = false;
-
-  std::uint32_t u32() {
-    if (off + 4 > data.size()) {
-      failed = true;
-      return 0;
-    }
-    const std::uint32_t v = read_u32be(data, off);
-    off += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (off + 8 > data.size()) {
-      failed = true;
-      return 0;
-    }
-    const std::uint64_t v = read_u64be(data, off);
-    off += 8;
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t len = u32();
-    if (failed || off + len > data.size()) {
-      failed = true;
-      return {};
-    }
-    std::string s(data.begin() + static_cast<std::ptrdiff_t>(off),
-                  data.begin() + static_cast<std::ptrdiff_t>(off + len));
-    off += len;
-    return s;
-  }
-  Bytes bytes() {
-    const std::uint32_t len = u32();
-    if (failed || off + len > data.size()) {
-      failed = true;
-      return {};
-    }
-    Bytes b = to_bytes(data.subspan(off, len));
-    off += len;
-    return b;
-  }
-};
-
 void append_dn(Bytes& out, const DistinguishedName& dn) {
-  append_string(out, dn.common_name);
-  append_string(out, dn.organization);
-  append_string(out, dn.country);
+  append_field(out, dn.common_name);
+  append_field(out, dn.organization);
+  append_field(out, dn.country);
 }
 
-DistinguishedName read_dn(Reader& r) {
+DistinguishedName read_dn(FieldReader& r) {
   DistinguishedName dn;
   dn.common_name = r.str();
   dn.organization = r.str();
@@ -96,23 +40,23 @@ Bytes Certificate::tbs() const {
   append_dn(out, issuer);
   append_u64be(out, not_before_us);
   append_u64be(out, not_after_us);
-  append_string(out, curve_name);
-  append_bytes_field(out, public_key);
+  append_field(out, curve_name);
+  append_field(out, public_key);
   append_u32be(out, static_cast<std::uint32_t>(san_dns.size()));
-  for (const auto& san : san_dns) append_string(out, san);
+  for (const auto& san : san_dns) append_field(out, san);
   append_u8(out, is_ca ? 1 : 0);
-  append_string(out, sig_curve_name);
+  append_field(out, sig_curve_name);
   return out;
 }
 
 Bytes Certificate::serialize() const {
   Bytes out = tbs();
-  append_bytes_field(out, signature);
+  append_field(out, signature);
   return out;
 }
 
 Result<Certificate> Certificate::parse(ByteView data) {
-  Reader r{data};
+  FieldReader r{data};
   // Tag check.
   constexpr std::string_view kTag = "REVELIO-CERT-V1";
   if (data.size() < kTag.size() ||
@@ -181,15 +125,15 @@ Bytes CertificateSigningRequest::tbs() const {
   append(out, std::string_view("REVELIO-CSR-V1"));
   append_dn(out, subject);
   append_u32be(out, static_cast<std::uint32_t>(san_dns.size()));
-  for (const auto& san : san_dns) append_string(out, san);
-  append_string(out, curve_name);
-  append_bytes_field(out, public_key);
+  for (const auto& san : san_dns) append_field(out, san);
+  append_field(out, curve_name);
+  append_field(out, public_key);
   return out;
 }
 
 Bytes CertificateSigningRequest::serialize() const {
   Bytes out = tbs();
-  append_bytes_field(out, signature);
+  append_field(out, signature);
   return out;
 }
 
@@ -200,7 +144,7 @@ Result<CertificateSigningRequest> CertificateSigningRequest::parse(
       to_string(data.subspan(0, kTag.size())) != kTag) {
     return Error::make("pki.bad_csr_tag");
   }
-  Reader r{data};
+  FieldReader r{data};
   r.off = kTag.size();
   CertificateSigningRequest csr;
   csr.subject = read_dn(r);

@@ -12,48 +12,6 @@ namespace {
 /// AMD-SP monotonic counter slot stamping the sealed TLS identity record.
 constexpr std::size_t kIdentityCounterSlot = 0;
 
-/// Parses "host:port" from a length-prefixed wire field layout used by the
-/// certificate-install message.
-struct Reader {
-  ByteView data;
-  std::size_t off = 0;
-  bool failed = false;
-
-  std::uint32_t u32() {
-    if (off + 4 > data.size()) {
-      failed = true;
-      return 0;
-    }
-    const std::uint32_t v = read_u32be(data, off);
-    off += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (off + 8 > data.size()) {
-      failed = true;
-      return 0;
-    }
-    const std::uint64_t v = read_u64be(data, off);
-    off += 8;
-    return v;
-  }
-  Bytes bytes() {
-    const std::uint32_t len = u32();
-    if (failed || off + len > data.size()) {
-      failed = true;
-      return {};
-    }
-    Bytes b = to_bytes(data.subspan(off, len));
-    off += len;
-    return b;
-  }
-};
-
-void append_field(Bytes& out, ByteView v) {
-  append_u32be(out, static_cast<std::uint32_t>(v.size()));
-  append(out, v);
-}
-
 }  // namespace
 
 Result<std::unique_ptr<RevelioVm>> RevelioVm::deploy(
@@ -208,7 +166,7 @@ net::HttpResponse RevelioVm::handle_bootstrap(
 net::HttpResponse RevelioVm::handle_certificate_install(
     const net::HttpRequest& request) {
   // Body: cert | chain_count | chain... | leader_host | leader_port(u32)
-  Reader r{request.body};
+  FieldReader r{request.body};
   const Bytes cert_bytes = r.bytes();
   auto cert = pki::Certificate::parse(cert_bytes);
   if (!cert.ok()) return net::HttpResponse::error(400, "bad certificate");
@@ -255,9 +213,14 @@ net::HttpResponse RevelioVm::handle_certificate_install(
 }
 
 Status RevelioVm::verify_peer_bundle(const EvidenceBundle& bundle) {
-  if (!bundle.binding_ok()) {
-    return Error::make("revelio.binding_mismatch",
-                       "REPORT_DATA does not cover the payload");
+  // Report failures keep their raw snp.* codes.
+  constexpr RefusalCodes kPeerRefusals{
+      .binding = "revelio.binding_mismatch",
+      .measurement = "revelio.untrusted_measurement"};
+  AttestationChecks checks;
+  if (auto st = AttestationVerifier::check_binding(bundle, checks);
+      !st.ok()) {
+    return kPeerRefusals.refuse(st.error());
   }
   auto kds = net::with_retries(
       network_->clock(), retry_jitter_, config_.retry,
@@ -270,23 +233,17 @@ Status RevelioVm::verify_peer_bundle(const EvidenceBundle& bundle) {
             });
       });
   if (!kds.ok()) return kds.error();
-  sevsnp::ReportVerifyOptions options;
-  options.now_us = network_->clock().now_us();
-  if (auto st = sevsnp::verify_report(bundle.report, kds->vcek, {kds->ask},
-                                      {kds->ark}, options);
-      !st.ok()) {
-    return st;
-  }
-  // Measurement must match a trusted peer image (usually our own).
-  bool trusted = bundle.report.measurement == guest_->measurement();
-  for (const auto& m : config_.trusted_peer_measurements) {
-    trusted = trusted || bundle.report.measurement == m;
-  }
-  if (!trusted) {
-    return Error::make("revelio.untrusted_measurement",
-                       "peer runs an unknown image");
-  }
-  return Status::success();
+  // The peer must run a trusted image: the configured ones or our own.
+  std::vector<sevsnp::Measurement> trusted = config_.trusted_peer_measurements;
+  trusted.push_back(guest_->measurement());
+  const AttestationVerifier verifier{.party = "vm",
+                                     .measurements = trusted,
+                                     .minimum_tcb = config_.minimum_tcb,
+                                     .revocation_set = config_.revocation_set,
+                                     .tcb_horizon = config_.tcb_horizon};
+  const Status st =
+      verifier.verify(bundle, *kds, network_->clock().now_us(), checks);
+  return st.ok() ? st : kPeerRefusals.refuse(st.error());
 }
 
 net::HttpResponse RevelioVm::handle_key_request(
@@ -336,7 +293,7 @@ Status RevelioVm::acquire_key_from_leader(const net::Address& leader) {
     return Error::make("revelio.key_request_refused",
                        to_string(response->body));
   }
-  Reader r{response->body};
+  FieldReader r{response->body};
   const Bytes leader_bundle_bytes = r.bytes();
   const Bytes wrapped = r.bytes();
   if (r.failed) return Error::make("revelio.bad_key_response");
@@ -442,7 +399,7 @@ Result<bool> RevelioVm::load_tls_identity() {
       to_string(ByteView(record).subspan(0, kTag.size())) != kTag) {
     return false;  // first boot: nothing persisted yet
   }
-  Reader r{record, kTag.size()};
+  FieldReader r{record, kTag.size()};
   const std::uint64_t stamped = r.u64();
   // Freshness first: the stamp must equal the chip counter exactly. Less
   // means the host rolled the volume back to an older snapshot (or a

@@ -15,16 +15,8 @@
 #include "net/http.hpp"
 #include "net/resilience.hpp"
 #include "net/tls.hpp"
-#include "revelio/evidence.hpp"
+#include "revelio/attestation_verifier.hpp"
 #include "vm/hypervisor.hpp"
-
-namespace revelio {
-class RevocationSet;  // revelio/revocation.hpp
-}  // namespace revelio
-
-namespace revelio::fleet {
-class TcbHorizon;  // fleet/tcb_horizon.hpp
-}  // namespace revelio::fleet
 
 namespace revelio::core {
 
@@ -45,10 +37,8 @@ struct RevelioVmConfig {
   /// time in the paper; here passed alongside it). Used during mutual
   /// attestation of key exchange.
   std::vector<sevsnp::Measurement> trusted_peer_measurements;
-  /// TCB floor and fail-closed gates (off when unset) applied to a peer in
-  /// the key handoff, both ways: the leader refuses to wrap the shared key
-  /// for such a follower, and a follower refuses a key from such a
-  /// leader. The sets must outlive the VM.
+  /// Applied to the peer of a key handoff in both directions (off when
+  /// unset; the sets must outlive the VM).
   std::optional<sevsnp::TcbVersion> minimum_tcb;
   const RevocationSet* revocation_set = nullptr;
   const fleet::TcbHorizon* tcb_horizon = nullptr;

@@ -8,11 +8,6 @@ namespace {
 
 constexpr std::string_view kTranscriptTag = "revelio-secure-channel-v1";
 
-void append_field(Bytes& out, ByteView v) {
-  append_u32be(out, static_cast<std::uint32_t>(v.size()));
-  append(out, v);
-}
-
 /// The transcript both identity signatures cover: both evidence bundles
 /// and both ephemerals, role-tagged, so neither side's contribution can be
 /// swapped or reflected.
@@ -77,44 +72,34 @@ Result<ChannelHello> ChannelHello::parse(ByteView data) {
   if (data.size() < 5 || to_string(data.subspan(0, 5)) != "RSCH1") {
     return Error::make("channel.bad_hello");
   }
-  std::size_t off = 5;
+  FieldReader r{data, 5};
   ChannelHello hello;
-  auto read_field = [&](Bytes& out) {
-    if (off + 4 > data.size()) return false;
-    const std::uint32_t len = read_u32be(data, off);
-    off += 4;
-    if (off + len > data.size()) return false;
-    out = to_bytes(data.subspan(off, len));
-    off += len;
-    return true;
-  };
-  if (!read_field(hello.evidence) || !read_field(hello.ephemeral_pub) ||
-      !read_field(hello.signature)) {
-    return Error::make("channel.bad_hello", "truncated");
-  }
+  hello.evidence = r.bytes();
+  hello.ephemeral_pub = r.bytes();
+  hello.signature = r.bytes();
+  if (r.failed) return Error::make("channel.bad_hello", "truncated");
   return hello;
 }
 
 Status verify_channel_peer(const EvidenceBundle& bundle,
                            const KdsService::VcekResponse& kds,
                            const PeerPolicy& policy, std::uint64_t now_us) {
-  if (!bundle.binding_ok()) {
-    return Error::make("channel.binding_mismatch",
-                       "REPORT_DATA does not cover the identity key");
+  // Report failures keep their raw snp.* codes.
+  constexpr RefusalCodes kChannelRefusals{
+      .binding = "channel.binding_mismatch",
+      .measurement = "channel.untrusted_measurement"};
+  AttestationChecks checks;
+  Status st = AttestationVerifier::check_binding(bundle, checks);
+  if (st.ok()) {
+    const AttestationVerifier verifier{
+        .party = "channel",
+        .measurements = policy.trusted_measurements,
+        .minimum_tcb = policy.minimum_tcb,
+        .revocation_set = policy.revocation_set,
+        .tcb_horizon = policy.tcb_horizon};
+    st = verifier.verify(bundle, kds, now_us, checks);
   }
-  sevsnp::ReportVerifyOptions options;
-  options.now_us = now_us;
-  options.minimum_tcb = policy.minimum_tcb;
-  if (auto st = sevsnp::verify_report(bundle.report, kds.vcek, {kds.ask},
-                                      {kds.ark}, options);
-      !st.ok()) {
-    return st;
-  }
-  for (const auto& m : policy.trusted_measurements) {
-    if (bundle.report.measurement == m) return Status::success();
-  }
-  return Error::make("channel.untrusted_measurement",
-                     "peer image not in the trusted set");
+  return st.ok() ? st : kChannelRefusals.refuse(st.error());
 }
 
 SecureChannel::SecureChannel(Bytes send_key, Bytes recv_key,

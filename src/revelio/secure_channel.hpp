@@ -11,15 +11,7 @@
 #pragma once
 
 #include "crypto/modes.hpp"
-#include "revelio/evidence.hpp"
-
-namespace revelio {
-class RevocationSet;  // revelio/revocation.hpp
-}  // namespace revelio
-
-namespace revelio::fleet {
-class TcbHorizon;  // fleet/tcb_horizon.hpp
-}  // namespace revelio::fleet
+#include "revelio/attestation_verifier.hpp"
 
 namespace revelio::core {
 
@@ -27,9 +19,7 @@ namespace revelio::core {
 struct PeerPolicy {
   std::vector<sevsnp::Measurement> trusted_measurements;
   std::optional<sevsnp::TcbVersion> minimum_tcb;
-  /// Fail-closed gates (off when null): a peer whose measurement, chip or
-  /// VCEK is revoked, or whose TCB is below its chip's announced update
-  /// horizon, is not admitted. Must outlive every handshake using them.
+  /// Fail-closed gates (off when null; must outlive the handshakes).
   const RevocationSet* revocation_set = nullptr;
   const fleet::TcbHorizon* tcb_horizon = nullptr;
 };

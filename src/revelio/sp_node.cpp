@@ -3,10 +3,10 @@
 namespace revelio::core {
 
 namespace {
-void append_field(Bytes& out, ByteView v) {
-  append_u32be(out, static_cast<std::uint32_t>(v.size()));
-  append(out, v);
-}
+/// The shared verifier's refusals in the SP node's codes.
+constexpr RefusalCodes kSpRefusals{.binding = "sp.binding_mismatch",
+                                   .report = "sp.report_invalid",
+                                   .measurement = "sp.measurement_mismatch"};
 }  // namespace
 
 SpNode::SpNode(net::Network& network, pki::AcmeIssuer& acme,
@@ -49,16 +49,18 @@ Result<pki::CertificateSigningRequest> SpNode::attest_node(
   if (!bundle.ok()) return bundle.error();
 
   // 2. CSR hash must be imprinted in REPORT_DATA (§5.2.2).
-  if (!bundle->binding_ok()) {
-    return Error::make("sp.binding_mismatch",
-                       "CSR hash not bound into the report");
+  AttestationChecks checks;
+  if (auto st = AttestationVerifier::check_binding(*bundle, checks);
+      !st.ok()) {
+    return kSpRefusals.refuse(st.error());
   }
   // 3. Chip id must match the approved platform for this address.
   if (bundle->report.chip_id.bytes() != approved_it->second) {
     return Error::make("sp.chip_mismatch",
                        "report comes from an unapproved chip");
   }
-  // 4. Signature + endorsement chain via the KDS.
+  // 4. The shared report policy over the KDS chain: revocation, TCB
+  // horizon, chain, signature, minimum TCB, expected measurement.
   auto kds = net::with_retries(
       network_->clock(), retry_jitter_, config_.retry,
       net::Deadline::unlimited(), "sp.kds_fetch", [&] {
@@ -67,24 +69,18 @@ Result<pki::CertificateSigningRequest> SpNode::attest_node(
                                  bundle->report.reported_tcb);
       });
   if (!kds.ok()) return kds.error();
-  sevsnp::ReportVerifyOptions options;
-  options.now_us = network_->clock().now_us();
-  options.minimum_tcb = config_.minimum_tcb;
-  if (auto st = sevsnp::verify_report(bundle->report, kds->vcek, {kds->ask},
-                                      {kds->ark}, options);
+  const AttestationVerifier verifier{
+      .party = "sp",
+      .measurements = config_.expected_measurements,
+      .minimum_tcb = config_.minimum_tcb,
+      .revocation_set = config_.revocation_set,
+      .tcb_horizon = config_.tcb_horizon};
+  if (auto st = verifier.verify(*bundle, *kds, network_->clock().now_us(),
+                                checks);
       !st.ok()) {
-    return Error::make("sp.report_invalid", st.error().to_string());
+    return kSpRefusals.refuse(st.error());
   }
-  // 5. Measurement must be an expected (non-revoked) image.
-  bool acceptable = false;
-  for (const auto& m : config_.expected_measurements) {
-    acceptable = acceptable || bundle->report.measurement == m;
-  }
-  if (!acceptable) {
-    return Error::make("sp.measurement_mismatch",
-                       "node runs an unexpected image");
-  }
-  // 6. The CSR itself must verify and name our domain.
+  // 5. The CSR itself must verify and name our domain.
   auto csr = pki::CertificateSigningRequest::parse(bundle->payload);
   if (!csr.ok()) return csr.error();
   if (!csr->verify()) {

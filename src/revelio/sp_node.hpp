@@ -14,16 +14,8 @@
 #include "net/http.hpp"
 #include "net/resilience.hpp"
 #include "pki/acme.hpp"
-#include "revelio/evidence.hpp"
+#include "revelio/attestation_verifier.hpp"
 #include "revelio/trusted_registry.hpp"
-
-namespace revelio {
-class RevocationSet;  // revelio/revocation.hpp
-}  // namespace revelio
-
-namespace revelio::fleet {
-class TcbHorizon;  // fleet/tcb_horizon.hpp
-}  // namespace revelio::fleet
 
 namespace revelio::core {
 
@@ -35,9 +27,7 @@ struct SpNodeConfig {
   /// build, or the trusted registry).
   std::vector<sevsnp::Measurement> expected_measurements;
   std::optional<sevsnp::TcbVersion> minimum_tcb;
-  /// Fail-closed gates (off when null): a node whose measurement, chip or
-  /// VCEK is revoked, or whose TCB is below its chip's announced update
-  /// horizon, gets no certificate. Must outlive the SP node.
+  /// Fail-closed gates (off when null; must outlive the SP node).
   const RevocationSet* revocation_set = nullptr;
   const fleet::TcbHorizon* tcb_horizon = nullptr;
   /// Transient-transport retry policy for node fetches, certificate

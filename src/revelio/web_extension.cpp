@@ -4,12 +4,10 @@
 
 #include "crypto/ecdsa.hpp"
 #include "crypto/sha2.hpp"
-#include "fleet/tcb_horizon.hpp"
 #include "obs/audit_log.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "revelio/revocation.hpp"
 
 namespace revelio::core {
 
@@ -98,31 +96,6 @@ std::vector<net::Address> kds_replicas(const WebExtensionConfig& config) {
   replicas.insert(replicas.end(), config.kds_mirrors.begin(),
                   config.kds_mirrors.end());
   return replicas;
-}
-
-/// Books one report's verification result where sevsnp::verify_report
-/// books it — the sevsnp.report_verify span's attributes (when the caller
-/// holds that span) and the result counter — and maps it onto `checks`:
-/// chain failures vs report_verify failures. True iff st is ok.
-bool record_report_verify(const Status& st, std::optional<obs::Span>* span,
-                          AttestationChecks& checks) {
-  if (span != nullptr && span->has_value()) {
-    (*span)->attr("result", st.ok() ? "ok" : st.error().code);
-    (*span)->attr("measurement_ok", st.ok());
-    span->reset();
-  }
-  sevsnp::record_report_verify_result(st);
-  if (st.ok()) {
-    checks.chain_ok = true;
-    checks.signature_ok = true;
-    return true;
-  }
-  // Distinguish chain failures from signature failures for the UI.
-  const bool chain = st.error().code == "snp.vcek_chain_invalid";
-  checks.chain_ok = !chain;
-  checks.failure = st.error().to_string();
-  checks.failure_step = chain ? "chain" : "report_verify";
-  return false;
 }
 }  // namespace
 
@@ -247,73 +220,16 @@ void WebExtension::note_verdict(const AttestationChecks& checks,
   config_.audit_log->append(rec);
 }
 
-bool WebExtension::verify_policy(const std::string& domain,
-                                 const EvidenceBundle& bundle,
-                                 const Bytes& session_key,
-                                 AttestationChecks& checks) {
+AttestationVerifier WebExtension::verifier(const std::string& domain) const {
   const SiteRegistration& site = sites_.at(domain);
-  // Measurement: manual pin or delegated registry.
-  bool acceptable = false;
-  for (const auto& m : site.expected_measurements) {
-    acceptable = acceptable || bundle.report.measurement == m;
-  }
-  if (site.registry != nullptr) {
-    acceptable = acceptable ||
-                 site.registry->is_acceptable(site.registry_service,
-                                              bundle.report.measurement);
-  }
-  if (!acceptable) {
-    checks.failure = "measurement not in the accepted set";
-    checks.failure_step = "measurement";
-    return false;
-  }
-  checks.measurement_ok = true;
-
-  // The TLS endpoint must terminate at the attested key (§3.4.5).
-  if (!(session_key == bundle.payload)) {
-    checks.failure = "TLS connection does not terminate at the attested key";
-    checks.failure_step = "tls_binding";
-    return false;
-  }
-  checks.tls_binding_ok = true;
-  return true;
-}
-
-bool WebExtension::check_revocation(const EvidenceBundle& bundle,
-                                    const KdsService::VcekResponse& kds,
-                                    AttestationChecks& checks) {
-  if (config_.revocation_set == nullptr) return true;
-  const RevocationSet& set = *config_.revocation_set;
-  std::string what;
-  if (set.is_measurement_revoked(bundle.report.measurement)) {
-    what = "measurement";
-  } else if (set.is_chip_revoked(bundle.report.chip_id)) {
-    what = "chip";
-  } else if (set.is_vcek_revoked(kds.vcek.fingerprint())) {
-    what = "VCEK certificate";
-  } else {
-    return true;
-  }
-  checks.failure = what + " is revoked";
-  checks.failure_step = "revocation";
-  obs::metrics()
-      .counter("ext.attest.revoked.count", {{"kind", what}})
-      .inc();
-  return false;
-}
-
-bool WebExtension::check_tcb_horizon(const EvidenceBundle& bundle,
-                                     AttestationChecks& checks) {
-  if (config_.tcb_horizon == nullptr) return true;
-  const std::uint64_t now_us = browser_->network().clock().now_us();
-  if (config_.tcb_horizon->acceptable(bundle.report.chip_id,
-                                      bundle.report.reported_tcb, now_us)) {
-    return true;
-  }
-  checks.failure = "report TCB is below the chip's update horizon";
-  checks.failure_step = "tcb_horizon";
-  obs::metrics().counter("ext.attest.tcb_horizon.count").inc();
-  return false;
+  return {.party = "ext",
+          .measurements = site.expected_measurements,
+          .registry = site.registry,
+          .registry_service = site.registry_service,
+          .minimum_tcb = site.minimum_tcb,
+          .revocation_set = config_.revocation_set,
+          .tcb_horizon = config_.tcb_horizon,
+          .chain_cache = chain_verifier_};
 }
 
 Result<WebExtension::Verified> WebExtension::fetch(
@@ -471,12 +387,9 @@ Status WebExtension::StagedAttestation::fetch_evidence() {
   checks_.evidence_fetched = true;
 
   // REPORT_DATA must cover the served payload (the VM's identity key).
-  if (!bundle->binding_ok()) {
-    checks_.failure = "REPORT_DATA does not cover the payload";
-    checks_.failure_step = "binding";
+  if (!AttestationVerifier::check_binding(*bundle, checks_).ok()) {
     return conclude(false);
   }
-  checks_.binding_ok = true;
   bundle_ = std::move(*bundle);
   next_ = Stage::kKds;
   return Status::success();
@@ -496,66 +409,42 @@ Status WebExtension::StagedAttestation::fetch_kds() {
   return Status::success();
 }
 
+bool WebExtension::StagedAttestation::check_tls_binding() {
+  // The TLS endpoint must terminate at the attested key (§3.4.5).
+  if (!(session_key_ == bundle_->payload)) {
+    checks_.failure = "TLS connection does not terminate at the attested key";
+    checks_.failure_step = "tls_binding";
+    return false;
+  }
+  checks_.tls_binding_ok = true;
+  return true;
+}
+
 Status WebExtension::StagedAttestation::verify() {
-  // One report through the batch path's own prepare -> finish body, with
-  // the signature equation inline between them — all inside the
-  // sevsnp.report_verify span that sevsnp::verify_report would open.
-  std::optional<obs::Span> report_span;
-  auto prepared = prepare(&report_span);
-  if (!prepared.ok()) return prepared.error();
-  const bool signature_ok =
-      crypto::ecdsa_verify(crypto::p384(), prepared->vcek_pub,
-                           prepared->digest.view(), prepared->signature);
-  return finish(signature_ok, &report_span);
+  if (next_ != Stage::kVerify || prepared_) return wrong_stage("verify");
+  const Status report = ext_->verifier(domain_).verify(
+      *bundle_, *kds_, ext_->browser_->network().clock().now_us(), checks_);
+  return conclude(report.ok() && check_tls_binding());
 }
 
 Result<sevsnp::PreparedReportVerify>
 WebExtension::StagedAttestation::verify_prepare() {
-  return prepare(nullptr);
-}
-
-Status WebExtension::StagedAttestation::verify_finish(bool signature_ok) {
-  return finish(signature_ok, nullptr);
-}
-
-Result<sevsnp::PreparedReportVerify> WebExtension::StagedAttestation::prepare(
-    std::optional<obs::Span>* report_span) {
   if (next_ != Stage::kVerify || prepared_) {
     return wrong_stage("verify").error();
   }
-  // Revocation and the fleet TCB horizon are checked before a single
-  // signature is examined: evidence from a revoked identity or below its
-  // chip's update horizon must not even reach the crypto (nor join a
-  // signature batch).
-  if (!ext_->check_revocation(*bundle_, *kds_, checks_) ||
-      !ext_->check_tcb_horizon(*bundle_, checks_)) {
-    return conclude(false).error();
-  }
-  if (report_span != nullptr) report_span->emplace("sevsnp.report_verify");
-  sevsnp::ReportVerifyOptions options;
-  options.now_us = ext_->browser_->network().clock().now_us();
-  options.chain_cache = ext_->chain_verifier_;
-  auto prepared = sevsnp::prepare_report_verify(
-      bundle_->report, kds_->vcek, {kds_->ask}, {kds_->ark}, options);
-  if (!prepared.ok()) {
-    record_report_verify(prepared.error(), report_span, checks_);
-    return conclude(false).error();
-  }
+  auto prepared = ext_->verifier(domain_).prepare(
+      *bundle_, *kds_, ext_->browser_->network().clock().now_us(), checks_);
+  if (!prepared.ok()) return conclude(false).error();
   prepared_ = true;
   return prepared;
 }
 
-Status WebExtension::StagedAttestation::finish(
-    bool signature_ok, std::optional<obs::Span>* report_span) {
+Status WebExtension::StagedAttestation::verify_finish(bool signature_ok) {
   if (next_ != Stage::kVerify || !prepared_) return wrong_stage("verify");
   prepared_ = false;
-  sevsnp::ReportVerifyOptions options;
-  options.minimum_tcb = ext_->sites_.at(domain_).minimum_tcb;
   const Status report =
-      sevsnp::finish_report_verify(bundle_->report, signature_ok, options);
-  return conclude(record_report_verify(report, report_span, checks_) &&
-                  ext_->verify_policy(domain_, *bundle_, session_key_,
-                                      checks_));
+      ext_->verifier(domain_).finish(*bundle_, signature_ok, checks_);
+  return conclude(report.ok() && check_tls_binding());
 }
 
 Result<net::HttpResponse> WebExtension::StagedAttestation::fetch_page(

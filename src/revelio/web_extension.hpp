@@ -5,15 +5,16 @@
 // connection. The WebExtension intercepts every request to a registered
 // domain: on a fresh session it fetches the attestation evidence from the
 // well-known URL, pulls the VCEK chain from the (simulated) AMD KDS —
-// caching it, since the VCEK only rotates with firmware updates —
-// validates chain, signature, measurement (against a manual registration
-// or a delegated TrustedRegistry) and the TLS binding; on every subsequent
-// request it re-checks that the connection still terminates at the
-// attested key, which is what defeats the certificate-swap redirect attack.
-// Every entry point — blocking fetch(), StagedAttestation and
-// batch_verify_sessions — runs one check sequence: the StagedAttestation
-// stages, with verify() split into verify_prepare -> signature ->
-// verify_finish.
+// caching it, since the VCEK only rotates with firmware updates — runs the
+// shared AttestationVerifier (binding, revocation, TCB horizon, chain,
+// signature, minimum TCB, measurement against a manual registration or a
+// delegated TrustedRegistry), then its own check: the TLS binding. On
+// every subsequent request it re-checks that the connection still
+// terminates at the attested key, which is what defeats the
+// certificate-swap redirect attack. Every entry point — blocking fetch(),
+// StagedAttestation and batch_verify_sessions — runs one check sequence:
+// the StagedAttestation stages, with verify() split into verify_prepare ->
+// signature -> verify_finish.
 #pragma once
 
 #include <map>
@@ -22,22 +23,14 @@
 #include "net/http.hpp"
 #include "net/resilience.hpp"
 #include "net/tls.hpp"
+#include "revelio/attestation_verifier.hpp"
 #include "revelio/evidence.hpp"
 #include "revelio/trusted_registry.hpp"
 #include "revelio/vcek_cache.hpp"
 
 namespace revelio::obs {
 class AuditLog;  // obs/audit_log.hpp
-class Span;      // obs/trace.hpp
 }  // namespace revelio::obs
-
-namespace revelio {
-class RevocationSet;  // revelio/revocation.hpp
-}  // namespace revelio
-
-namespace revelio::fleet {
-class TcbHorizon;  // fleet/tcb_horizon.hpp
-}  // namespace revelio::fleet
 
 namespace revelio::core {
 
@@ -105,28 +98,6 @@ struct SiteRegistration {
   std::optional<sevsnp::TcbVersion> minimum_tcb;
 };
 
-/// Outcome of one attestation pass — what the extension's UI would render.
-struct AttestationChecks {
-  bool evidence_fetched = false;
-  bool binding_ok = false;       // REPORT_DATA covers the served key
-  bool chain_ok = false;         // VCEK chains to the AMD root
-  bool signature_ok = false;     // report signed by that VCEK
-  bool measurement_ok = false;   // measurement is a known-good image
-  bool tls_binding_ok = false;   // session terminates at the attested key
-  std::string failure;
-  /// Machine-readable step id of the first failed check ("" when all pass):
-  /// evidence_fetch | evidence_parse | binding | kds_fetch | revocation |
-  /// tcb_horizon | chain | report_verify | measurement | tls_binding.
-  /// Mirrors the `result` label
-  /// on the ext.attest.result.count metric and the ext.attest span.
-  std::string failure_step;
-
-  bool all_ok() const {
-    return evidence_fetched && binding_ok && chain_ok && signature_ok &&
-           measurement_ok && tls_binding_ok;
-  }
-};
-
 struct WebExtensionConfig {
   net::Address kds_address;
   /// Read-only KDS mirrors tried, in order, when kds_address (or an earlier
@@ -164,18 +135,10 @@ struct WebExtensionConfig {
   /// Session id stamped on this extension's audit records (the gateway
   /// sets it to the session index; a lone extension can leave 0).
   std::uint64_t audit_session_id = 0;
-  /// When set, the verify stage consults this set *before* any signature
-  /// work and rejects fail-closed (failure_step "revocation") if the
-  /// report's measurement, chip, or the fetched VCEK certificate has been
-  /// revoked — on every path: blocking, staged, and batch. Must outlive
-  /// the extension; checks are thread-safe.
+  /// Fail-closed gates of the shared verifier (failure_step "revocation"
+  /// and "tcb_horizon"), on every path: blocking, staged and batch. Off
+  /// when null; must outlive the extension; checks are thread-safe.
   const RevocationSet* revocation_set = nullptr;
-  /// When set, the verify stage also consults the fleet's per-chip TCB
-  /// update horizons *before* any signature work and rejects fail-closed
-  /// (failure_step "tcb_horizon") any report whose TCB is below its
-  /// chip's announced minimum once the horizon instant has passed — on
-  /// every path: blocking, staged, and batch. Must outlive the extension;
-  /// checks are thread-safe.
   const fleet::TcbHorizon* tcb_horizon = nullptr;
 };
 
@@ -239,14 +202,12 @@ class WebExtension {
     /// Pure compute: verify_prepare(), the report signature, then
     /// verify_finish(). Records the attested DomainState on success.
     Status verify();
-    /// verify() split at the signature check, for batching.
-    /// verify_prepare() runs the revocation and TCB-horizon gates, the
-    /// chain walk, key/signature decode and signed-body digest for THIS
-    /// session and returns the triple a batch verifier needs; the caller
-    /// checks the signature out of line — typically one
+    /// verify() split at the signature check, for batching:
+    /// verify_prepare() is AttestationVerifier::prepare for THIS session;
+    /// the caller checks the signature out of line — typically one
     /// crypto::ecdsa_verify_batch pass across many sessions — and hands
-    /// the verdict to verify_finish(), which applies the TCB floor, the
-    /// measurement and TLS-binding policy and the verdict bookkeeping.
+    /// the verdict to verify_finish(): AttestationVerifier::finish, the TLS
+    /// binding and the verdict bookkeeping.
     /// A failed verify_prepare() is terminal exactly like a failed
     /// verify(); statuses and audit records are identical either way.
     Result<sevsnp::PreparedReportVerify> verify_prepare();
@@ -285,13 +246,9 @@ class WebExtension {
       kDone,
     };
     Status wrong_stage(const char* want) const;
-    /// Bodies of verify_prepare() / verify_finish(). `report_span` is
-    /// verify()'s sevsnp.report_verify span, opened once the gates pass and
-    /// closed with the report verdict; null on the batch path, whose
-    /// reports share one sevsnp.batch_signature_verify span.
-    Result<sevsnp::PreparedReportVerify> prepare(
-        std::optional<obs::Span>* report_span);
-    Status finish(bool signature_ok, std::optional<obs::Span>* report_span);
+    /// The browser's own check after the shared verifier: the TLS session
+    /// must terminate at the attested key (§3.4.5).
+    bool check_tls_binding();
     /// Every terminal verdict, accept or reject, from any stage: audit
     /// record + flight event, the DomainState last_checks() shows, the
     /// ext.attest.result.count counter, and on reject the
@@ -343,22 +300,10 @@ class WebExtension {
   Result<KdsService::VcekResponse> fetch_vcek(const sevsnp::ChipId& chip,
                                               sevsnp::TcbVersion tcb,
                                               const net::Deadline& deadline);
-  /// Fail-closed revocation gate (config_.revocation_set): true when no
-  /// identity in the evidence is revoked (or no set is configured). Runs
-  /// in verify_prepare(), before any signature work.
-  bool check_revocation(const EvidenceBundle& bundle,
-                        const KdsService::VcekResponse& kds,
-                        AttestationChecks& checks);
-  /// Fail-closed fleet TCB-horizon gate (config_.tcb_horizon): true when
-  /// the report's TCB is acceptable for its chip at the current virtual
-  /// instant (or no horizon set is configured). Runs next to the
-  /// revocation gate, before any signature work.
-  bool check_tcb_horizon(const EvidenceBundle& bundle,
-                         AttestationChecks& checks);
-  /// Post-signature policy (verify_finish): measurement pin/registry and
-  /// TLS binding. True iff both pass.
-  bool verify_policy(const std::string& domain, const EvidenceBundle& bundle,
-                     const Bytes& session_key, AttestationChecks& checks);
+  /// The shared verifier under `domain`'s registration and this
+  /// extension's gates (config_.revocation_set, config_.tcb_horizon) and
+  /// chain cache.
+  AttestationVerifier verifier(const std::string& domain) const;
   /// Terminal-verdict record (StagedAttestation::conclude): a kVerdict
   /// flight event, and — when config_.audit_log is set — an AuditRecord
   /// built from whatever evidence the session got as far as gathering

@@ -58,7 +58,7 @@ class KeyDistributionServer {
 /// and optionally a minimum TCB. Returns the verified report fields.
 struct ReportVerifyOptions {
   std::uint64_t now_us = 0;
-  std::optional<TcbVersion> minimum_tcb;
+  std::optional<TcbVersion> minimum_tcb{};
   /// Optional memoization of the VCEK chain walk: verifiers that see the
   /// same ARK/ASK/VCEK every session (the web extension, secure-channel
   /// peers) skip the two chain signature checks on a hit.

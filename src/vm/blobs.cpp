@@ -4,62 +4,10 @@
 
 namespace revelio::vm {
 
-namespace {
-
-void append_string(Bytes& out, const std::string& s) {
-  append_u32be(out, static_cast<std::uint32_t>(s.size()));
-  append(out, s);
-}
-
-struct Reader {
-  ByteView data;
-  std::size_t off = 0;
-  bool failed = false;
-
-  std::uint32_t u32() {
-    if (off + 4 > data.size()) {
-      failed = true;
-      return 0;
-    }
-    const std::uint32_t v = read_u32be(data, off);
-    off += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (off + 8 > data.size()) {
-      failed = true;
-      return 0;
-    }
-    const std::uint64_t v = read_u64be(data, off);
-    off += 8;
-    return v;
-  }
-  std::uint8_t u8() {
-    if (off + 1 > data.size()) {
-      failed = true;
-      return 0;
-    }
-    return data[off++];
-  }
-  std::string str() {
-    const std::uint32_t len = u32();
-    if (failed || off + len > data.size()) {
-      failed = true;
-      return {};
-    }
-    std::string s(data.begin() + static_cast<std::ptrdiff_t>(off),
-                  data.begin() + static_cast<std::ptrdiff_t>(off + len));
-    off += len;
-    return s;
-  }
-};
-
-}  // namespace
-
 Bytes KernelSpec::serialize() const {
   Bytes out;
   append(out, std::string_view("RKRN1"));
-  append_string(out, version);
+  append_field(out, version);
   append_u8(out, enforce_verity ? 1 : 0);
   append_u8(out, sev_snp_enabled ? 1 : 0);
   return out;
@@ -69,7 +17,7 @@ Result<KernelSpec> KernelSpec::parse(ByteView data) {
   if (data.size() < 5 || to_string(data.subspan(0, 5)) != "RKRN1") {
     return Error::make("vm.bad_kernel_blob");
   }
-  Reader r{data, 5};
+  FieldReader r{data, 5};
   KernelSpec spec;
   spec.version = r.str();
   spec.enforce_verity = r.u8() != 0;
@@ -85,11 +33,11 @@ Bytes InitrdSpec::serialize() const {
   append_u8(out, setup_crypt ? 1 : 0);
   append_u8(out, block_inbound_network ? 1 : 0);
   append_u32be(out, static_cast<std::uint32_t>(allowed_inbound_ports.size()));
-  for (const auto& port : allowed_inbound_ports) append_string(out, port);
+  for (const auto& port : allowed_inbound_ports) append_field(out, port);
   append_u32be(out, static_cast<std::uint32_t>(services.size()));
   for (const auto& service : services) {
-    append_string(out, service.name);
-    append_string(out, service.binary_path);
+    append_field(out, service.name);
+    append_field(out, service.binary_path);
     append_u64be(out, static_cast<std::uint64_t>(service.startup_ms * 1000.0));
   }
   return out;
@@ -99,7 +47,7 @@ Result<InitrdSpec> InitrdSpec::parse(ByteView data) {
   if (data.size() < 5 || to_string(data.subspan(0, 5)) != "RIRD1") {
     return Error::make("vm.bad_initrd_blob");
   }
-  Reader r{data, 5};
+  FieldReader r{data, 5};
   InitrdSpec spec;
   spec.setup_verity = r.u8() != 0;
   spec.setup_crypt = r.u8() != 0;
