@@ -122,8 +122,9 @@ class RevelioVm {
   Status start_tls_server(net::Network& network);
   Status acquire_key_from_leader(const net::Address& leader);
 
-  /// Mutual-attestation helper: verifies a peer bundle against the KDS
-  /// chain and this node's trusted measurements.
+  /// Both sides of the key handoff: the shared verifier over the KDS
+  /// chain, with this node's own measurement trusted besides the
+  /// configured ones and the config's TCB floor and gates.
   Status verify_peer_bundle(const EvidenceBundle& bundle);
 
   RevelioVmConfig config_;

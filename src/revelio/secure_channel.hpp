@@ -3,9 +3,11 @@
 // §5.2.2: the per-VM identity key pair "will either be the TLS identity …
 // or it can be used for secure data exchange between VMs after a mutual
 // attestation has taken place". This implements that second use: both
-// sides exchange identity evidence bundles, verify each other's report
-// (chain, signature, REPORT_DATA binding, measurement), then run a
-// signed ECDH over the attested identity keys to derive AEAD session keys.
+// sides exchange identity evidence bundles, judge each other's through the
+// shared AttestationVerifier under a PeerPolicy (REPORT_DATA binding,
+// revocation, TCB horizon, chain, signature, minimum TCB, measurement),
+// then run a signed ECDH over the attested identity keys to derive AEAD
+// session keys.
 // The resulting channel carries arbitrary application payloads between
 // enclaves — replication traffic, state hand-off, etc.
 #pragma once
@@ -83,8 +85,10 @@ class SecureChannel {
   sevsnp::Measurement peer_measurement_;
 };
 
-/// Shared verification: evidence bundle + KDS chain + policy. Exposed for
-/// reuse and tests.
+/// Admission of one peer: the shared verifier under `policy`. Refusals
+/// keep the raw snp.* codes for chain and signature failures, name
+/// channel.binding_mismatch / channel.untrusted_measurement, and pass the
+/// revocation and horizon codes through. Exposed for reuse and tests.
 Status verify_channel_peer(const EvidenceBundle& bundle,
                            const KdsService::VcekResponse& kds,
                            const PeerPolicy& policy, std::uint64_t now_us);

@@ -2,8 +2,9 @@
 //
 // Lives outside the public cloud, holds the DNS API credentials and the
 // ACME account, and drives certificate management: it attests every fleet
-// node (report signature + chain, measurement, CSR binding, chip-id and IP
-// allowlists), picks a leader, obtains one shared SSL certificate for the
+// node — the shared AttestationVerifier (CSR binding, revocation, TCB
+// horizon, chain, signature, minimum TCB, measurement) plus its own
+// chip-id/IP allowlist and CSR checks — picks a leader, obtains one shared SSL certificate for the
 // leader's CSR (respecting CA rate limits, §3.4.6), and distributes it —
 // after which the nodes fetch the private key from the leader themselves
 // (Fig 4).

@@ -306,7 +306,8 @@ TEST_F(RevelioFixture, KeyRequestFromUntrustedImageRefused) {
 // --------------------------------------- fail-closed gates, every party
 
 /// One way to condemn evidence that is otherwise valid: the failure step
-/// every relying party must name, and what arms the gate against a chip.
+/// and the text every relying party's refusal must name, and how to arm
+/// the gate against a chip or a measurement.
 struct Condemnation {
   const char* step;
   const char* detail;  // the refusal text names what was condemned
