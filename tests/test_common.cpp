@@ -81,6 +81,37 @@ TEST(Bytes, XorInto) {
   EXPECT_EQ(a, (Bytes{0xf0, 0x00, 0x0f}));
 }
 
+TEST(Bytes, FieldReaderRoundTripsAndFailsClosed) {
+  Bytes wire;
+  append_u8(wire, 7);
+  append_u64be(wire, 0x0102030405060708ULL);
+  append_field(wire, std::string_view("name"));
+  append_field(wire, Bytes{0xaa, 0xbb});
+  FieldReader r{wire};
+  EXPECT_EQ(r.u8(), 7);
+  EXPECT_EQ(r.u64(), 0x0102030405060708ULL);
+  EXPECT_EQ(r.str(), "name");
+  EXPECT_EQ(r.bytes(), (Bytes{0xaa, 0xbb}));
+  EXPECT_FALSE(r.failed);
+  EXPECT_TRUE(r.rest().empty());
+
+  // A hostile length runs past the end: empty, failed, and every later
+  // field read stays empty.
+  Bytes hostile;
+  append_u32be(hostile, 0xffffffffu);
+  append_field(hostile, std::string_view("tail"));
+  FieldReader h{hostile};
+  EXPECT_TRUE(h.bytes().empty());
+  EXPECT_TRUE(h.failed);
+  EXPECT_TRUE(h.str().empty());
+
+  // A start offset past the end fails instead of reading out of bounds.
+  FieldReader past{wire, wire.size() + 3};
+  EXPECT_EQ(past.u32(), 0u);
+  EXPECT_TRUE(past.failed);
+  EXPECT_TRUE(past.rest().empty());
+}
+
 TEST(Result, ValueAndError) {
   Result<int> ok = 42;
   ASSERT_TRUE(ok.ok());
