@@ -199,8 +199,10 @@ class WebExtension {
     /// VCEK chain from the KDS through the VCEK cache (shared or the
     /// extension's own), with retry x failover.
     Status fetch_kds();
-    /// Pure compute: verify_prepare(), the report signature, then
-    /// verify_finish(). Records the attested DomainState on success.
+    /// Pure compute: AttestationVerifier::verify (what verify_prepare(),
+    /// the report signature and verify_finish() do, in one
+    /// sevsnp.report_verify span), then the TLS binding. Records the
+    /// attested DomainState on success.
     Status verify();
     /// verify() split at the signature check, for batching:
     /// verify_prepare() is AttestationVerifier::prepare for THIS session;
